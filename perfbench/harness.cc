@@ -239,20 +239,14 @@ PointResult Session::Run(const RunOptions& options) {
   arch->SetRecording(true);
   if (options.on_window_start) options.on_window_start(arch);
 
-  // The window runs in fixed simulated slices, so host noise shows up
-  // as outlying slices that a median can drop.
-  const SimDuration slice = options.poll ? sbft::Millis(1) : sbft::Millis(100);
+  // A polled window runs in 1 ms steps; a plain one in a single step.
+  const SimDuration step = options.poll ? sbft::Millis(1) : spec_.window;
   StallPoller poller(arch, std::max(begin, options.outage_from));
   const double t0 = WallNow();
-  double slice_start = t0;
   for (SimTime t = begin; t < end;) {
-    SimTime next = std::min(end, t + slice);
+    SimTime next = std::min(end, t + step);
     arch->RunUntil(next);
     if (options.poll) poller.Poll(next);
-    double now = WallNow();
-    r.slice_rates.push_back((now - slice_start) /
-                            sbft::ToSeconds(next - t));
-    slice_start = now;
     t = next;
   }
   if (options.poll) {

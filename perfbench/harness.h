@@ -104,9 +104,6 @@ struct PointResult {
   // Host.
   double setup_s = 0;
   double window_wall_s = 0;
-  /// Wall seconds per simulated second of each 100 ms slice of the
-  /// window (each 1 ms step when polled).
-  std::vector<double> slice_rates;
 
   /// Failed correctness checks, one line each (empty = all passed).
   std::vector<std::string> failures;

@@ -88,10 +88,11 @@ int main(int argc, char** argv) {
   std::printf("stamp: workload=%s seed=%llu trace=%d nproc=%u "
               "sim_threads=%d crypto=kFast build=%s commit=%s\n",
               w->name.c_str(), static_cast<unsigned long long>(seed), trace,
-              nproc, w->parallel ? threads : 0, build, commit.c_str());
+              nproc, trace == 1 && w->parallel ? threads : 0, build,
+              commit.c_str());
 
   Report report = trace == 1 ? RunTraced(*w, seed, seconds, threads)
-                             : RunPlain(*w, seed, seconds, threads);
+                             : RunPlain(*w, seed, seconds);
 
   for (const Metric& m : report.metrics) {
     std::printf("  %-34s %16.6f %-10s %s\n", m.name.c_str(), m.value,

@@ -6,12 +6,12 @@
 
 namespace perfbench {
 
-/// The plain run: every end-to-end metric of the workload. The nominal
-/// point repeats (fresh architecture each time) until `seconds` of wall
-/// time have passed, for the host metrics; simulated metrics are medians
-/// over the workload's derived seeds.
-Report RunPlain(const Workload& w, uint64_t seed, double seconds,
-                int sim_threads);
+/// The plain run: every end-to-end metric of the workload, on the serial
+/// engine. The nominal point repeats (fresh architecture each time) until
+/// `seconds` of wall time have passed since the start, for the host
+/// metrics; simulated metrics are medians over the workload's derived
+/// seeds.
+Report RunPlain(const Workload& w, uint64_t seed, double seconds);
 
 /// The traced run: every per-layer metric, from a serial run of the
 /// nominal point with a delivery observer, checked against the plain

@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload paper_ycsb --seed 1 --seconds 8 \
+    python3 perfbench/run.py --workload paper_ycsb --seed 1 --seconds 32 \
         --trace 0
 
 The build goes to $CARGO_TARGET_DIR/perfbench (default .bench_build/perfbench).
@@ -23,6 +23,10 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 RUN_TIMEOUT_S = 170
+# glibc's malloc backs its heap with transparent huge pages (glibc >= 2.35;
+# a no-op elsewhere). On a shared host, page walks over the large heaps
+# otherwise make wall time swing with the co-tenants' memory traffic.
+MALLOC_TUNABLE = "glibc.malloc.hugetlb=1"
 
 
 def log(msg):
@@ -82,7 +86,10 @@ def main():
     cmd = [binary, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--commit", git_commit()]
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
+    env = dict(os.environ)
+    tunables = [t for t in env.get("GLIBC_TUNABLES", "").split(":") if t]
+    env["GLIBC_TUNABLES"] = ":".join(tunables + [MALLOC_TUNABLE])
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=env)
     try:
         out, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:

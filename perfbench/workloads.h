@@ -16,9 +16,6 @@ struct Workload {
   /// The nominal point: goodput, latency, cost and engine speed.
   PointSpec (*nominal)(uint64_t seed, int sim_threads);
   /// The stress point past the knee (overload_goodput_tps / _p99_ms).
-  /// It and the knee probes run on the serial engine: the parallel
-  /// engine's wall time swings by up to 5x with the host's load, and
-  /// these points only need simulated numbers.
   PointSpec (*stress)(uint64_t seed);
   /// One open-loop knee probe at `rate` offered t/s.
   PointSpec (*knee_probe)(uint64_t seed, double rate);
@@ -29,10 +26,13 @@ struct Workload {
   double knee_lo = 0;
   double knee_hi = 0;
   int knee_steps = 0;
+  /// Derived seeds per knee probe; a probe is judged on their medians.
+  int knee_reps = 1;
   /// When the first fault strikes (0 = fault-free); the traced run's
   /// outage metrics count stalls from here on.
   SimTime first_fault = 0;
-  /// Whether the nominal point runs on the parallel engine.
+  /// Whether the traced run times the nominal point on the parallel
+  /// engine too (sim.parallel_speedup). The plain runs are serial.
   bool parallel = false;
   /// Nominal runs with derived seeds; simulated metrics are their median.
   int sim_reps = 1;
