@@ -50,9 +50,10 @@ sbft::core::SystemConfig EightPlaneConfig(double offered_tps, int threads,
   // (batch 4 doubles per-plane ordering capacity over the fig11 config)
   // while the coordination tier is modeled as small 2-core machines —
   // so the coordinator CPU (DS verify + sign per cross-shard request,
-  // ~170us), not plane consensus, binds the knee at G=1, and
-  // partitioning the gid space across G groups multiplies exactly the
-  // binding resource.
+  // ~170us alone and ~113us per extra request once queued requests
+  // coalesce, DESIGN.md §13), not plane consensus, binds the knee at
+  // G=1, and partitioning the gid space across G groups multiplies
+  // exactly the binding resource.
   core::SystemConfig config;
   config.shard_count = 8;
   config.shim.n = 4;

@@ -123,18 +123,18 @@ int main(int argc, char** argv) {
 
   if (min_speedup >= 0) {
     // Parallel-engine sanity gate: the measured parallel-vs-serial
-    // wall-clock ratio on the 8-plane workload must clear the floor.
+    // wall-clock ratio on the fig13 8-plane point must clear the floor.
     // CI runs this with --threads 2 and a modest 1.0x floor — the
     // engine must at least not *lose* to the serial scheduler when it
     // has a second worker; anything lower means the conservative
     // windows stopped overlapping plane execution.
     const SimcoreBenchResult* speedup = nullptr;
     for (const SimcoreBenchResult& r : results) {
-      if (r.name == "parallel_speedup_8s") speedup = &r;
+      if (r.name == "parallel_speedup_fig13") speedup = &r;
     }
     if (speedup == nullptr) {
-      std::printf("\nparallel speedup gate: parallel_speedup_8s did not run "
-                  "(filtered out?) FAILED\n");
+      std::printf("\nparallel speedup gate: parallel_speedup_fig13 did not "
+                  "run (filtered out?) FAILED\n");
       ok = false;
     } else {
       bool pass = speedup->throughput >= min_speedup;

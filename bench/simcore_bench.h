@@ -13,6 +13,7 @@
 // randomness is derived from the fixed seed, so two runs on the same
 // machine differ only by scheduler noise (controlled with --reps best-of).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -31,7 +32,6 @@
 #include "crypto/keys.h"
 #include "crypto/sha256.h"
 #include "shim/message.h"
-#include "shim/wire_format.h"
 #include "sim/actor.h"
 #include "sim/network.h"
 #include "sim/parallel.h"
@@ -292,58 +292,6 @@ inline SimcoreBenchResult BenchDigestRounds(const SimcoreBenchOptions& opt) {
   return r;
 }
 
-/// Zero-copy wire parsing: packed-header messages are serialized once,
-/// then re-parsed as bounds-and-kind-checked views (wire::TryFrom) with
-/// every header field read back. This is the receive-path cost the
-/// packed wire layer replaced the decoder round-trip with — a parse is
-/// a pointer check plus shift-based field loads, no allocation.
-inline SimcoreBenchResult BenchWireParse(const SimcoreBenchOptions& opt) {
-  const uint64_t total = static_cast<uint64_t>(4'000'000 * opt.scale);
-  SimcoreBenchResult r{"wire_parse", "parses/s"};
-  r.ops = total;
-  shim::PrepareMsg prepare(3);
-  prepare.view = 7;
-  prepare.seq = 12345;
-  prepare.digest = crypto::Sha256::Hash("wire-parse");
-  Bytes prepare_bytes = prepare.Serialized();
-  shim::ShardPrepareVoteMsg vote(9);
-  vote.global_id = 424242;
-  vote.shard = 1;
-  vote.seq = 99;
-  vote.commit = true;
-  Bytes vote_bytes = vote.Serialized();
-  // The seq fields sit right after the 5-byte MsgHeader + 8-byte view
-  // (prepare) / 8-byte global_id (vote); rewriting one byte per
-  // iteration keeps each parse data-dependent so the optimizer cannot
-  // hoist the loop-invariant view out of the timed loop.
-  const size_t prep_seq_off = sizeof(shim::wire::MsgHeader) + 8;
-  const size_t vote_gid_off = sizeof(shim::wire::MsgHeader);
-  for (int rep = 0; rep < opt.reps; ++rep) {
-    uint64_t sink = 0;
-    double t0 = NowSeconds();
-    for (uint64_t i = 0; i < total; i += 2) {
-      prepare_bytes[prep_seq_off] = static_cast<uint8_t>(i);
-      const auto* p = shim::wire::TryFrom<shim::wire::PrepareHeader>(
-          prepare_bytes, shim::MsgKind::kPrepare);
-      sink += p->view.get() + p->seq.get() + p->hdr.sender.get() +
-              p->digest.data()[0];
-      vote_bytes[vote_gid_off] = static_cast<uint8_t>(i >> 1);
-      const auto* v = shim::wire::TryFrom<shim::wire::ShardPrepareVoteHeader>(
-          vote_bytes, shim::MsgKind::kShardPrepareVote);
-      sink += v->global_id.get() + v->shard.get() + v->seq.get() +
-              static_cast<uint64_t>(v->commit.get());
-    }
-    double dt = NowSeconds() - t0;
-    if (sink == 0) std::abort();  // keeps the parsed fields live
-    double tput = static_cast<double>(total) / dt;
-    if (tput > r.throughput) {
-      r.throughput = tput;
-      r.seconds = dt;
-    }
-  }
-  return r;
-}
-
 /// Certificate aggregation: assemble an 8-share VoteCertificate from
 /// pre-signed shares and run it through the wire (EncodeTo + DecodeFrom)
 /// — the coordinator-side cost of the share-based vote transport,
@@ -434,6 +382,61 @@ inline SimcoreBenchResult BenchBatchVerify(const SimcoreBenchOptions& opt) {
       r.seconds = dt;
     }
   }
+  return r;
+}
+
+/// kReal batch verification against single verification, the
+/// measurement behind the cost model's half charge per extra signature
+/// (vote certificates, DESIGN.md §8; coordinator request coalescing,
+/// §13). For k > 1 the row is the cost of each signature after the first
+/// in one KeyRegistry::BatchVerify of k, in units of one
+/// KeyRegistry::Verify: (T_batch(k) - T_verify) / ((k - 1) T_verify). The
+/// model charges 0.5, so a row above 0.5 means the model undercharges.
+/// For k = 1 it is T_batch(1) / T_verify, which should read about 1.
+inline SimcoreBenchResult BenchBatchVerifyRatio(const SimcoreBenchOptions& opt,
+                                                size_t k) {
+  SimcoreBenchResult r{"batch_verify_ratio_k" + std::to_string(k), "x"};
+  crypto::KeyRegistry keys(crypto::CryptoMode::kReal, opt.seed);
+  std::vector<Bytes> msgs;
+  std::vector<Bytes> sigs;
+  for (size_t i = 0; i < k; ++i) {
+    ActorId signer = static_cast<ActorId>(100 + i);
+    keys.RegisterNode(signer);
+    msgs.push_back(crypto::VoteSigningBytes(1000 + i,
+                                            static_cast<uint32_t>(i), 7,
+                                            true));
+    sigs.push_back(keys.Sign(signer, msgs.back()));
+  }
+  std::vector<crypto::KeyRegistry::BatchItem> items;
+  for (size_t i = 0; i < k; ++i) {
+    items.push_back({static_cast<ActorId>(100 + i), &msgs[i], &sigs[i]});
+  }
+  // The same number of signatures through both paths, best of reps.
+  const uint64_t sigs_per_rep =
+      std::max<uint64_t>(k, static_cast<uint64_t>(1024 * opt.scale) / k * k);
+  double verify_s = 0;
+  double batch_s = 0;
+  for (int rep = 0; rep < opt.reps; ++rep) {
+    double t0 = NowSeconds();
+    for (uint64_t i = 0; i < sigs_per_rep; ++i) {
+      const size_t j = i % k;
+      if (!keys.Verify(items[j].signer, msgs[j], sigs[j])) std::abort();
+    }
+    double t1 = NowSeconds();
+    for (uint64_t b = 0; b < sigs_per_rep / k; ++b) {
+      if (!keys.BatchVerify(items)) std::abort();
+    }
+    double t2 = NowSeconds();
+    if (rep == 0 || t1 - t0 < verify_s) verify_s = t1 - t0;
+    if (rep == 0 || t2 - t1 < batch_s) batch_s = t2 - t1;
+  }
+  const double verify_one = verify_s / static_cast<double>(sigs_per_rep);
+  const double batch_one = batch_s / static_cast<double>(sigs_per_rep / k);
+  r.throughput = k == 1 ? batch_one / verify_one
+                        : (batch_one - verify_one) /
+                              (static_cast<double>(k - 1) * verify_one);
+  r.ops = sigs_per_rep;
+  r.seconds = verify_s + batch_s;
   return r;
 }
 
@@ -732,8 +735,8 @@ inline SimcoreBenchResult BenchParallelEventChurn(
 /// (sim_threads > 0): the same settled-transactions-per-wall-second
 /// metric as cross_shard_commit, but with eight ShardPlane loops plus
 /// the global loop spread over worker threads. Gated with a 1-core-safe
-/// floor; the parallel_speedup_8s entry below carries the actual
-/// parallel-vs-serial ratio in the trajectory.
+/// floor; parallel_speedup_fig13 below carries the parallel-vs-serial
+/// ratio, on a workload large enough to measure it.
 inline SimcoreBenchResult BenchParallelCrossShardAt(
     const SimcoreBenchOptions& opt, const char* name, int sim_threads,
     bool gate) {
@@ -777,22 +780,63 @@ inline SimcoreBenchResult BenchParallelCrossShard8s(
                                    /*gate=*/true);
 }
 
-/// Parallel-vs-serial wall-clock ratio on the 8-plane workload above:
-/// > 1 means the engine beats the serial scheduler on this host. Not
-/// gated — the value is hardware-dependent (a 1-core runner reports the
-/// engine's synchronization overhead, a multi-core runner its speedup) —
-/// but carried in BENCH_*.json so the trajectory records both.
-inline SimcoreBenchResult BenchParallelSpeedup8s(
+/// Wall seconds of one fixed simulated window of the fig13 8-plane point:
+/// 33% cross-shard, one coordinator on a 2-core machine, open-loop
+/// Poisson from 4 sources at 24k t/s, after an untimed 0.1 s warmup.
+inline double Fig13WindowSeconds(uint64_t seed, int sim_threads,
+                                 uint64_t* settled) {
+  core::SystemConfig config;
+  config.shard_count = 8;
+  config.shim.n = 4;
+  config.shim.batch_size = 4;
+  config.shim.checkpoint_interval = 8;
+  config.n_e = 3;
+  config.f_e = 1;
+  config.workload.record_count = 8000;
+  config.workload.cross_shard_percentage = 33;
+  config.coordinator_cores = 2;
+  config.crypto_mode = crypto::CryptoMode::kFast;
+  config.seed = seed;
+  config.sim_threads = sim_threads;
+  config.traffic.open_loop = true;
+  config.traffic.sources = 4;
+  config.traffic.offered_tps = 24000;
+  config.traffic.retry_timeout = Millis(400);
+  config.traffic.retry_inflight_cap = 32;
+  config.traffic.max_inflight = 4000;
+  core::Architecture arch(config);
+  arch.Start();
+  arch.RunUntil(Millis(100));
+  double t0 = NowSeconds();
+  arch.RunUntil(Millis(600));
+  double dt = NowSeconds() - t0;
+  *settled = arch.TotalCompleted() + arch.TotalAborted();
+  return dt;
+}
+
+/// Parallel-vs-serial wall-clock ratio on the fig13 point above: > 1
+/// means the engine beats the serial scheduler on this host. The window
+/// is fixed at 0.5 simulated seconds whatever the scale (about 1 s of
+/// serial wall time on a 4-core Xeon): a smaller one times the engine's
+/// start-up, not its steady state. Best of reps on each engine. The CI
+/// gate holds this ratio at >= 1.0 with two worker threads.
+inline SimcoreBenchResult BenchParallelSpeedupFig13(
     const SimcoreBenchOptions& opt) {
-  SimcoreBenchResult serial = BenchParallelCrossShardAt(
-      opt, "serial_cross_shard_8s", /*sim_threads=*/0, /*gate=*/false);
-  SimcoreBenchResult parallel = BenchParallelCrossShardAt(
-      opt, "parallel_cross_shard_8s", ResolveBenchThreads(opt.threads),
-      /*gate=*/false);
-  SimcoreBenchResult r{"parallel_speedup_8s", "x"};
-  r.throughput = serial.seconds > 0 ? serial.seconds / parallel.seconds : 0;
-  r.seconds = parallel.seconds;
-  r.ops = parallel.ops;
+  SimcoreBenchResult r{"parallel_speedup_fig13", "x"};
+  double serial_s = 0;
+  double parallel_s = 0;
+  for (int rep = 0; rep < opt.reps; ++rep) {
+    // The engines draw different random streams (DESIGN.md §11), so
+    // they settle similar, not identical, work in the window.
+    uint64_t serial_settled = 0;
+    double serial = Fig13WindowSeconds(opt.seed, 0, &serial_settled);
+    double parallel = Fig13WindowSeconds(
+        opt.seed, ResolveBenchThreads(opt.threads), &r.ops);
+    if (rep == 0 || serial < serial_s) serial_s = serial;
+    if (rep == 0 || parallel < parallel_s) parallel_s = parallel;
+  }
+  r.throughput = parallel_s > 0 ? serial_s / parallel_s : 0;
+  r.seconds = parallel_s;
   return r;
 }
 
@@ -861,9 +905,20 @@ inline std::vector<SimcoreBenchResult> RunSimcoreSuite(
       {"cancel_storm", BenchCancelStorm},
       {"broadcast_fanout", BenchBroadcastFanout},
       {"digest_rounds", BenchDigestRounds},
-      {"wire_parse", BenchWireParse},
       {"cert_aggregate", BenchCertAggregate},
       {"batch_verify", BenchBatchVerify},
+      {"batch_verify_ratio_k1",
+       [](const SimcoreBenchOptions& o) {
+         return BenchBatchVerifyRatio(o, 1);
+       }},
+      {"batch_verify_ratio_k8",
+       [](const SimcoreBenchOptions& o) {
+         return BenchBatchVerifyRatio(o, 8);
+       }},
+      {"batch_verify_ratio_k32",
+       [](const SimcoreBenchOptions& o) {
+         return BenchBatchVerifyRatio(o, 32);
+       }},
       {"hmac_small", BenchHmacSmall},
       {"sha256_stream", BenchSha256Stream},
       {"cross_shard_commit", BenchCrossShardCommit},
@@ -874,10 +929,10 @@ inline std::vector<SimcoreBenchResult> RunSimcoreSuite(
       {"coord_failover_goodput", BenchCoordFailoverGoodput},
       {"parallel_event_churn", BenchParallelEventChurn},
       {"parallel_cross_shard_8s", BenchParallelCrossShard8s},
-      {"parallel_speedup_8s", BenchParallelSpeedup8s},
+      {"parallel_speedup_fig13", BenchParallelSpeedupFig13},
   };
   std::vector<SimcoreBenchResult> results;
-  std::printf("%-18s %16s %14s %10s\n", "benchmark", "throughput", "unit",
+  std::printf("%-24s %16s %14s %10s\n", "benchmark", "throughput", "unit",
               "secs");
   for (const NamedBench& bench : benches) {
     if (!opt.filter.empty() &&
@@ -885,8 +940,10 @@ inline std::vector<SimcoreBenchResult> RunSimcoreSuite(
       continue;
     }
     SimcoreBenchResult r = bench.fn(opt);
-    std::printf("%-18s %16.0f %14s %10.3f\n", r.name.c_str(), r.throughput,
-                r.unit.c_str(), r.seconds);
+    // Ratios ("x") need decimals; rates are whole numbers.
+    std::printf("%-24s %16.*f %14s %10.3f\n", r.name.c_str(),
+                r.unit == "x" ? 2 : 0, r.throughput, r.unit.c_str(),
+                r.seconds);
     std::fflush(stdout);
     results.push_back(std::move(r));
   }

@@ -235,12 +235,18 @@ void Architecture::BuildCoordinatorMember(
   bool calibrated = config_.twopc_calibrated_costs;
   net_->AttachServer(
       member_id, cpu.get(),
-      [costs, calibrated](const sim::Envelope& env) -> SimDuration {
+      [costs, calibrated](const sim::Envelope& env) -> sim::JobCost {
         const auto* msg =
             static_cast<const shim::Message*>(env.message.get());
         if (msg != nullptr && msg->kind == shim::MsgKind::kClientRequest) {
           // Verify the client's DS + sign each fragment (amortized).
-          return costs.per_message + costs.ds_verify + costs.ds_sign;
+          // Requests queued behind a busy CPU coalesce into one job that
+          // batch-verifies their signatures: each one after the first
+          // pays half a verification, the vote-certificate rule
+          // (DESIGN.md §8, §13).
+          return {costs.per_message + costs.ds_verify + costs.ds_sign,
+                  TxnCoordinator::kClientRequestJobClass,
+                  costs.per_message + costs.ds_verify / 2 + costs.ds_sign};
         }
         if (calibrated && msg != nullptr &&
             msg->kind == shim::MsgKind::kShardPrepareVote) {

@@ -95,6 +95,11 @@ class Architecture {
   TxnCoordinator* coordinator(uint32_t r) {
     return r < coordinators_.size() ? coordinators_[r].get() : nullptr;
   }
+  /// CPU model of coordinator member `r` (same flat index), or nullptr.
+  const sim::ServerResource* coordinator_cpu(uint32_t r) const {
+    return r < coordinator_cpus_.size() ? coordinator_cpus_[r].get()
+                                        : nullptr;
+  }
   /// Member r of coordinator group g (DESIGN.md §10/§12).
   TxnCoordinator* coordinator_member(uint32_t g, uint32_t r) {
     return coordinator(g * coord_topology_.replicas + r);

@@ -120,15 +120,43 @@ void TxnCoordinator::OnMessage(const sim::Envelope& env) {
   }
 }
 
+void TxnCoordinator::OnMessageBatch(const std::vector<sim::Envelope>& batch) {
+  if (crashed_) return;
+  std::vector<const shim::ClientRequestMsg*> requests(batch.size());
+  std::vector<Bytes> signing_bytes(batch.size());
+  std::vector<crypto::KeyRegistry::BatchItem> items;
+  items.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    requests[i] = shim::MessageAs<shim::ClientRequestMsg>(
+        batch[i], shim::MsgKind::kClientRequest);
+    if (requests[i] == nullptr) continue;
+    signing_bytes[i] = shim::ClientRequestMsg::SigningBytes(requests[i]->txn);
+    items.push_back({requests[i]->txn.client, &signing_bytes[i],
+                     &requests[i]->client_sig});
+  }
+  // One verification for the whole job; when it fails, each request is
+  // verified on its own in ProcessClientRequest and only the forged ones
+  // are dropped.
+  const bool verified = keys_->BatchVerify(items);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (requests[i] == nullptr) {
+      OnMessage(batch[i]);
+    } else {
+      ProcessClientRequest(batch[i].message, *requests[i], verified);
+    }
+  }
+}
+
 void TxnCoordinator::HandleClientRequest(const sim::Envelope& env) {
   const auto* msg = shim::MessageAs<shim::ClientRequestMsg>(
       env, shim::MsgKind::kClientRequest);
   if (msg == nullptr) return;
-  ProcessClientRequest(env.message, *msg);
+  ProcessClientRequest(env.message, *msg, /*verified=*/false);
 }
 
 void TxnCoordinator::ProcessClientRequest(const sim::MessagePtr& message,
-                                          const shim::ClientRequestMsg& msg) {
+                                          const shim::ClientRequestMsg& msg,
+                                          bool verified) {
   if (options_.num_groups > 1) {
     // Gid partitioning (DESIGN.md §12): a request for a gid owned by
     // another group is forwarded to that group's member 0 as-is (the
@@ -162,7 +190,8 @@ void TxnCoordinator::ProcessClientRequest(const sim::MessagePtr& message,
     StashRequest(message);
     return;
   }
-  if (!keys_->Verify(msg.txn.client,
+  if (!verified &&
+      !keys_->Verify(msg.txn.client,
                      shim::ClientRequestMsg::SigningBytes(msg.txn),
                      msg.client_sig)) {
     return;
@@ -219,7 +248,7 @@ void TxnCoordinator::DrainStash() {
       // Serving leader: replay locally. Every path is idempotent —
       // decided gids answer from the log, pending ones re-drive, only
       // unknown ones launch.
-      ProcessClientRequest(message, *request);
+      ProcessClientRequest(message, *request, /*verified=*/false);
     } else {
       // Fresh leader contact: forward the parked copies. A duplicate of
       // an already-served forward is absorbed by the same dedup.

@@ -110,6 +110,15 @@ class TxnCoordinator : public sim::Actor {
                  const CoordinatorOptions& options);
 
   void OnMessage(const sim::Envelope& env) override;
+  /// A merged CPU job of client requests (DESIGN.md §13): one batch
+  /// verification over their signatures, then each request in arrival
+  /// order. A failed batch falls back to per-request verification, so a
+  /// forged request rejects only itself.
+  void OnMessageBatch(const std::vector<sim::Envelope>& batch) override;
+
+  /// ServerResource job class of client requests: the delivery cost hook
+  /// tags them so that requests queued behind a busy CPU coalesce.
+  static constexpr uint32_t kClientRequestJobClass = 1;
 
   /// Crash-stop / recover hook (fault engine). Crashing silences the
   /// actor; recovery wipes the volatile vote state but keeps the
@@ -256,8 +265,12 @@ class TxnCoordinator : public sim::Actor {
   /// The actual client-request path (serve / forward / park); split from
   /// the envelope handler so a parked request can be replayed verbatim
   /// once a serving leader exists.
+  /// `verified`: the client signature already passed a batch
+  /// verification; otherwise it is verified here, if the request is
+  /// served here.
   void ProcessClientRequest(const sim::MessagePtr& message,
-                            const shim::ClientRequestMsg& msg);
+                            const shim::ClientRequestMsg& msg,
+                            bool verified);
   void HandleVote(const sim::Envelope& env);
   /// Share-based transport: guards every share's sender, batch-verifies
   /// the certificate once, then feeds each share through the same vote

@@ -41,10 +41,12 @@ void KeyRegistry::RegisterNode(ActorId id) {
       material[9 + i] = static_cast<uint8_t>(id >> (8 * i));
     }
     h.Update(material, sizeof(material));
-    keys.secret = h.Finish().ToBytes();
+    keys.secret = h.Finish();
+    keys.signing = HmacMidstate(keys.secret.data(), Digest::kSize);
     if (mode_ == CryptoMode::kReal) {
       Rng local(seed_ ^ (0x9e3779b97f4a7c15ull * (id + 1)));
-      keys.schnorr = SchnorrGenerateKey(*group_, &local);
+      keys.schnorr = std::make_unique<SchnorrKeyPair>(
+          SchnorrGenerateKey(*group_, &local));
     }
     std::unique_lock lock(mu_);
     nodes_.emplace(id, std::move(keys));  // No-op if a racer beat us.
@@ -63,9 +65,11 @@ void KeyRegistry::RegisterNode(ActorId id) {
       static_cast<uint8_t>(id), static_cast<uint8_t>(id >> 8),
       static_cast<uint8_t>(id >> 16), static_cast<uint8_t>(id >> 24)};
   h.Update(id_bytes, sizeof(id_bytes));
-  keys.secret = h.Finish().ToBytes();
+  keys.secret = h.Finish();
+  keys.signing = HmacMidstate(keys.secret.data(), Digest::kSize);
   if (mode_ == CryptoMode::kReal) {
-    keys.schnorr = SchnorrGenerateKey(*group_, &rng_);
+    keys.schnorr =
+        std::make_unique<SchnorrKeyPair>(SchnorrGenerateKey(*group_, &rng_));
   }
   nodes_.emplace(id, std::move(keys));
 }
@@ -106,7 +110,7 @@ const KeyRegistry::NodeKeys* KeyRegistry::FindKeys(ActorId id) const {
 Bytes KeyRegistry::Sign(ActorId signer, const Bytes& msg) const {
   const NodeKeys& keys = KeysFor(signer);
   if (mode_ == CryptoMode::kReal) {
-    return SchnorrSign(*group_, keys.schnorr.secret, msg).Serialize();
+    return SchnorrSign(*group_, keys.schnorr->secret, msg).Serialize();
   }
   if (mode_ == CryptoMode::kNone) {
     // Structural token: signer id + cheap content fingerprint, padded to
@@ -119,13 +123,12 @@ Bytes KeyRegistry::Sign(ActorId signer, const Bytes& msg) const {
     token[8] = static_cast<uint8_t>(signer);
     return token;
   }
-  // kFast: HMAC keyed on the signer's private secret. Domain-separated
-  // from MACs by a prefix byte.
-  Bytes prefixed;
-  prefixed.reserve(msg.size() + 1);
-  prefixed.push_back(0xd5);
-  AppendBytes(&prefixed, msg);
-  return HmacSha256(keys.secret, prefixed).ToBytes();
+  return FastSign(keys, msg).ToBytes();
+}
+
+Digest KeyRegistry::FastSign(const NodeKeys& keys, const Bytes& msg) {
+  constexpr uint8_t kSignPrefix = 0xd5;
+  return keys.signing.Mac(&kSignPrefix, 1, msg.data(), msg.size());
 }
 
 bool KeyRegistry::Verify(ActorId signer, const Bytes& msg,
@@ -135,10 +138,19 @@ bool KeyRegistry::Verify(ActorId signer, const Bytes& msg,
   if (mode_ == CryptoMode::kReal) {
     SchnorrSignature parsed;
     if (!SchnorrSignature::Deserialize(sig, &parsed).ok()) return false;
-    return SchnorrVerify(*group_, keys->schnorr.public_key, msg, parsed);
+    return SchnorrVerify(*group_, keys->schnorr->public_key, msg, parsed);
   }
-  Bytes expected = Sign(signer, msg);
-  return ConstantTimeEquals(expected, sig);  // kFast and kNone recompute.
+  if (mode_ == CryptoMode::kNone) {
+    return ConstantTimeEquals(Sign(signer, msg), sig);
+  }
+  // kFast recomputes into a stack digest and compares in constant time.
+  if (sig.size() != Digest::kSize) return false;
+  const Digest expected = FastSign(*keys, msg);
+  uint8_t diff = 0;
+  for (size_t i = 0; i < Digest::kSize; ++i) {
+    diff |= static_cast<uint8_t>(expected.data()[i] ^ sig[i]);
+  }
+  return diff == 0;
 }
 
 bool KeyRegistry::BatchVerify(const std::vector<BatchItem>& items) const {
@@ -156,7 +168,7 @@ bool KeyRegistry::BatchVerify(const std::vector<BatchItem>& items) const {
     if (!SchnorrSignature::Deserialize(*items[i].sig, &parsed[i]).ok()) {
       return false;
     }
-    batch[i] = {&keys->schnorr.public_key, items[i].msg, &parsed[i]};
+    batch[i] = {&keys->schnorr->public_key, items[i].msg, &parsed[i]};
   }
   return SchnorrBatchVerify(*group_, batch);
 }
@@ -204,12 +216,12 @@ const Bytes& KeyRegistry::MacKey(ActorId a, ActorId b) const {
     // reference stays valid: the map is node-based and never erases.
     Bytes shared;
     if (mode_ == CryptoMode::kReal) {
-      shared = DiffieHellmanSharedKey(*group_, KeysFor(lo).schnorr.secret,
-                                      KeysFor(hi).schnorr.public_key);
+      shared = DiffieHellmanSharedKey(*group_, KeysFor(lo).schnorr->secret,
+                                      KeysFor(hi).schnorr->public_key);
     } else {
       Sha256 h;
-      h.Update(KeysFor(lo).secret);
-      h.Update(KeysFor(hi).secret);
+      h.Update(KeysFor(lo).secret.data(), Digest::kSize);
+      h.Update(KeysFor(hi).secret.data(), Digest::kSize);
       shared = h.Finish().ToBytes();
     }
     std::unique_lock lock(mu_);
@@ -222,12 +234,12 @@ const Bytes& KeyRegistry::MacKey(ActorId a, ActorId b) const {
   Bytes shared;
   if (mode_ == CryptoMode::kReal) {
     // Diffie–Hellman between the pair's Schnorr keys (§III).
-    shared = DiffieHellmanSharedKey(*group_, KeysFor(lo).schnorr.secret,
-                                    KeysFor(hi).schnorr.public_key);
+    shared = DiffieHellmanSharedKey(*group_, KeysFor(lo).schnorr->secret,
+                                    KeysFor(hi).schnorr->public_key);
   } else {
     Sha256 h;
-    h.Update(KeysFor(lo).secret);
-    h.Update(KeysFor(hi).secret);
+    h.Update(KeysFor(lo).secret.data(), Digest::kSize);
+    h.Update(KeysFor(hi).secret.data(), Digest::kSize);
     shared = h.Finish().ToBytes();
   }
   auto [inserted, _] = mac_keys_.emplace(key, std::move(shared));

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -13,6 +14,7 @@
 #include "common/ids.h"
 #include "common/rng.h"
 #include "crypto/digest.h"
+#include "crypto/hmac.h"
 #include "crypto/schnorr.h"
 
 namespace sbft::crypto {
@@ -107,9 +109,16 @@ class KeyRegistry {
 
  private:
   struct NodeKeys {
-    Bytes secret;              // kFast signing secret (32 bytes).
-    SchnorrKeyPair schnorr;    // kReal key pair.
+    Digest secret;             // kFast signing secret.
+    HmacMidstate signing;      // kFast: `secret` with its pads absorbed.
+    // kReal key pair, out of line: every executor ever spawned keeps an
+    // entry, and kFast runs would carry two empty BigInts in each.
+    std::unique_ptr<SchnorrKeyPair> schnorr;
   };
+
+  /// kFast signature: HMAC-SHA256(secret, 0xd5 ‖ msg), domain-separated
+  /// from MACs by the prefix byte.
+  static Digest FastSign(const NodeKeys& keys, const Bytes& msg);
 
   const Bytes& MacKey(ActorId a, ActorId b) const;
   const NodeKeys& KeysFor(ActorId id) const;

@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -277,6 +278,19 @@ Sha256::Sha256() {
   state_[5] = 0x9b05688c;
   state_[6] = 0x1f83d9ab;
   state_[7] = 0x5be0cd19;
+}
+
+Sha256 Sha256::Resume(const ChainingValue& chain, uint64_t blocks) {
+  Sha256 h;
+  std::copy(chain.begin(), chain.end(), h.state_);
+  h.length_ = blocks * 64;
+  return h;
+}
+
+Sha256::ChainingValue Sha256::chaining_value() const {
+  ChainingValue chain;
+  std::copy(state_, state_ + 8, chain.begin());
+  return chain;
 }
 
 void Sha256::ProcessBlocks(const uint8_t* data, size_t nblocks) {

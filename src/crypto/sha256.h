@@ -1,6 +1,7 @@
 #ifndef SBFT_CRYPTO_SHA256_H_
 #define SBFT_CRYPTO_SHA256_H_
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -26,6 +27,15 @@ class Sha256 {
 
   /// Finishes the hash. The object must not be reused afterwards.
   Digest Finish();
+
+  /// The state between blocks: eight 32-bit words.
+  using ChainingValue = std::array<uint32_t, 8>;
+
+  /// Resumes a hash whose first `blocks` 64-byte blocks left `chain`.
+  static Sha256 Resume(const ChainingValue& chain, uint64_t blocks);
+
+  /// The current chaining value. Only meaningful after whole blocks.
+  ChainingValue chaining_value() const;
 
   /// One-shot convenience.
   static Digest Hash(const Bytes& data);

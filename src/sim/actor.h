@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/ids.h"
 #include "common/sim_time.h"
@@ -52,6 +53,12 @@ class Actor {
 
   /// Handles a delivered message.
   virtual void OnMessage(const Envelope& env) = 0;
+
+  /// Handles the messages of one merged CPU job (ServerResource job
+  /// coalescing), in arrival order. The default handles them one by one.
+  virtual void OnMessageBatch(const std::vector<Envelope>& batch) {
+    for (const Envelope& env : batch) OnMessage(env);
+  }
 
  private:
   ActorId id_;

@@ -424,22 +424,8 @@ void Network::DeliverParallel(Envelope env) {
     ++ln.dropped;
     return;
   }
-  Endpoint& ep = it->second;
   ++ln.delivered;
-
-  if (ep.server != nullptr) {
-    SimDuration cost = ep.cost_fn ? ep.cost_fn(env) : 0;
-    ActorId to = env.to;
-    ep.server->Submit(cost, [this, cur, to, env = std::move(env)]() {
-      // Re-resolve: the actor may have unregistered while queued.
-      auto& eps2 = loop_endpoints_[cur];
-      auto it2 = eps2.find(to);
-      if (it2 == eps2.end()) return;
-      it2->second.actor->OnMessage(env);
-    });
-  } else {
-    ep.actor->OnMessage(env);
-  }
+  Dispatch(it->second, std::move(env), cur);
 }
 
 uint64_t Network::messages_sent() const {
@@ -483,23 +469,47 @@ void Network::Deliver(Envelope env) {
     ++messages_dropped_;
     return;
   }
-  Endpoint& ep = it->second;
   ++messages_delivered_;
+  Dispatch(it->second, std::move(env), -1);
+}
 
-  if (ep.server != nullptr) {
-    SimDuration cost = ep.cost_fn ? ep.cost_fn(env) : 0;
-    ActorId to = env.to;
-    ep.server->Submit(cost, [this, to, env = std::move(env)]() {
-      // Re-resolve: the actor may have unregistered while queued.
-      auto it2 = endpoints_.find(to);
-      if (it2 == endpoints_.end()) return;
-      it2->second.actor->OnMessage(env);
-      if (observer_) observer_(env);
-    });
-  } else {
+Network::Endpoint* Network::FindEndpoint(int loop, ActorId id) {
+  auto& eps = loop >= 0 ? loop_endpoints_[loop] : endpoints_;
+  auto it = eps.find(id);
+  return it == eps.end() ? nullptr : &it->second;
+}
+
+void Network::Dispatch(Endpoint& ep, Envelope env, int loop) {
+  // The observer is a serial-engine hook (loop < 0): parallel loops
+  // would call it from several threads.
+  if (ep.server == nullptr) {
     ep.actor->OnMessage(env);
-    if (observer_) observer_(env);
+    if (loop < 0 && observer_) observer_(env);
+    return;
   }
+  JobCost cost = ep.cost_fn ? ep.cost_fn(env) : JobCost{};
+  ActorId to = env.to;
+  const bool coalesces = cost.job_class != 0;
+  ep.server->Submit(cost, [this, loop, to, coalesces, env = std::move(env)]() {
+    // Re-resolve: the actor may have unregistered while queued.
+    Endpoint* target = FindEndpoint(loop, to);
+    if (target == nullptr) return;
+    if (!coalesces) {
+      target->actor->OnMessage(env);
+      if (loop < 0 && observer_) observer_(env);
+      return;
+    }
+    // A merged job's callbacks gather their envelopes; the last one
+    // delivers them together, in arrival order.
+    target->batch.push_back(env);
+    if (target->server->batch_remaining() > 0) return;
+    std::vector<Envelope> batch;
+    batch.swap(target->batch);
+    target->actor->OnMessageBatch(batch);
+    if (loop < 0 && observer_) {
+      for (const Envelope& delivered : batch) observer_(delivered);
+    }
+  });
 }
 
 }  // namespace sbft::sim

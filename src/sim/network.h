@@ -53,8 +53,10 @@ struct LinkRule {
 /// an attached ServerResource -> Actor::OnMessage.
 class Network {
  public:
-  /// Per-envelope CPU cost charged on the receiving node.
-  using CostFn = std::function<SimDuration(const Envelope&)>;
+  /// Per-envelope CPU charge on the receiving node. A charge with a job
+  /// class coalesces with the endpoint's queued jobs of that class; the
+  /// messages of a merged job reach the actor in one OnMessageBatch call.
+  using CostFn = std::function<JobCost(const Envelope&)>;
   /// Observer invoked on every successful delivery (after CPU).
   using DeliveryObserver = std::function<void(const Envelope&)>;
 
@@ -154,6 +156,9 @@ class Network {
     RegionId region = 0;
     ServerResource* server = nullptr;
     CostFn cost_fn;
+    /// Messages of the merged job now completing, gathered until its last
+    /// callback hands them to the actor together.
+    std::vector<Envelope> batch;
   };
 
   /// One delivery decision for a message: whether it gets through, how
@@ -175,6 +180,12 @@ class Network {
   void SendFrom(ActorId from, RegionId from_region, ActorId to,
                 const MessagePtr& message, size_t wire_bytes);
   void Deliver(Envelope env);
+  /// Hands a delivered envelope to `ep`'s actor, through its CPU model
+  /// when one is attached. `loop` is the delivering loop in parallel mode
+  /// and -1 on the serial engine.
+  void Dispatch(Endpoint& ep, Envelope env, int loop);
+  /// Endpoint of `id` in `loop`'s map (-1: the serial map), or null.
+  Endpoint* FindEndpoint(int loop, ActorId id);
 
   /// Per-loop network state for parallel mode: one jitter/drop rng stream
   /// and one set of traffic counters per loop, each touched only by the

@@ -39,11 +39,11 @@ struct VerifierConfig {
   /// decisions and coordinator crash/recovery).
   SimDuration decision_retry = Millis(250);
   /// Per-key FIFO cap for transactions queueing behind a 2PC prepare
-  /// lock. 0 (the default) keeps the legacy abort-on-locked-key rule —
-  /// and with it the byte-identical replay of the pre-queueing golden
-  /// scenarios. Queueing is deadlock-free because prepare locks are only
-  /// held between vote and decision and waiters hold no locks.
-  uint32_t prepare_lock_queue_depth = 0;
+  /// lock; 0 keeps the legacy abort-on-locked-key rule. The default
+  /// matches SystemConfig::prepare_lock_queue_depth. Queueing is
+  /// deadlock-free because prepare locks are only held between vote and
+  /// decision and waiters hold no locks.
+  uint32_t prepare_lock_queue_depth = 8;
   /// Bound on how many times one waiter may hop to a different blocking
   /// key before it falls back to the abort rule (livelock guard).
   uint32_t prepare_lock_max_requeues = 16;

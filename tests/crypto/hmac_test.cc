@@ -66,5 +66,29 @@ TEST(HmacTest, EmptyMessage) {
   EXPECT_EQ(HmacSha256(key, empty), HmacSha256(key, empty));
 }
 
+TEST(HmacTest, MidstateWithPrefixMatchesConcatenatedMessage) {
+  // Keys shorter than, equal to and longer than the block; prefixes and
+  // messages that straddle the 55/64-byte padding boundaries.
+  for (size_t key_len : {0u, 20u, 64u, 65u, 131u}) {
+    Bytes key(key_len);
+    for (size_t i = 0; i < key_len; ++i) {
+      key[i] = static_cast<uint8_t>(i * 7);
+    }
+    HmacMidstate mid(key);
+    for (size_t prefix_len : {0u, 1u, 9u}) {
+      for (size_t len : {0u, 1u, 54u, 55u, 63u, 64u, 200u}) {
+        Bytes prefix(prefix_len, 0xd5);
+        Bytes msg(len);
+        for (size_t i = 0; i < len; ++i) msg[i] = static_cast<uint8_t>(i);
+        Bytes joined = prefix;
+        joined.insert(joined.end(), msg.begin(), msg.end());
+        EXPECT_EQ(mid.Mac(prefix.data(), prefix.size(), msg.data(), len),
+                  HmacSha256(key, joined))
+            << key_len << "/" << prefix_len << "/" << len;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sbft::crypto

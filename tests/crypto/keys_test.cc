@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/hmac.h"
+#include "crypto/sha256.h"
+
 namespace sbft::crypto {
 namespace {
 
@@ -111,6 +114,36 @@ TEST(KeysTest, DifferentSeedsDifferentKeys) {
   r2.RegisterNode(0);
   Bytes msg = ToBytes("m");
   EXPECT_NE(r1.Sign(0, msg), r2.Sign(0, msg));
+}
+
+TEST(KeysTest, FastSignatureIsHmacOfPrefixedMessage) {
+  // The kFast signature is pinned byte for byte to its definition,
+  // HMAC-SHA256(secret, 0xd5 || msg). Concurrent mode derives the secret
+  // as SHA-256(0xcc || seed (8 bytes LE) || id (4 bytes LE)), which this
+  // test recomputes.
+  constexpr uint64_t kSeed = 0x1234567890abcdefull;
+  constexpr ActorId kId = 4242;
+  KeyRegistry registry(CryptoMode::kFast, kSeed);
+  registry.EnableConcurrent();
+  registry.RegisterNode(kId);
+  uint8_t material[13] = {0xcc};
+  for (int i = 0; i < 8; ++i) {
+    material[1 + i] = static_cast<uint8_t>(kSeed >> (8 * i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    material[9 + i] = static_cast<uint8_t>(kId >> (8 * i));
+  }
+  Bytes secret = Sha256::Hash(material, sizeof(material)).ToBytes();
+  for (size_t len : {0u, 1u, 63u, 64u, 300u}) {
+    Bytes msg(len, 0x5a);
+    Bytes prefixed(len + 1, 0x5a);
+    prefixed[0] = 0xd5;
+    Bytes expected = HmacSha256(secret, prefixed).ToBytes();
+    EXPECT_EQ(registry.Sign(kId, msg), expected) << len;
+    EXPECT_TRUE(registry.Verify(kId, msg, expected)) << len;
+    Bytes truncated(expected.begin(), expected.end() - 1);
+    EXPECT_FALSE(registry.Verify(kId, msg, truncated)) << len;
+  }
 }
 
 }  // namespace
