@@ -5,9 +5,9 @@
 // figure benches (simulated-time measurements), these are *wall-clock*
 // measurements of the engine itself: how many simulated events, network
 // deliveries, and message digests the host CPU can push per real second.
-// The suite is shared by bench_simcore (interactive / CI-gate CLI) and
-// tools/bench_report (BENCH_<date>.json trajectory emitter), so both
-// always run the exact same workloads.
+// The suite backs bench_simcore, which serves both as the interactive /
+// CI-gate CLI and (with --json) as the BENCH_<date>.json trajectory
+// emitter.
 //
 // Workloads are fully deterministic: sizes come from the options, all
 // randomness is derived from the fixed seed, so two runs on the same
@@ -502,7 +502,7 @@ inline SimcoreBenchResult BenchSha256Stream(const SimcoreBenchOptions& opt) {
 /// regressions.
 inline SimcoreBenchResult BenchCrossShardCommitAt(
     const SimcoreBenchOptions& opt, const char* name, uint32_t shards,
-    bool gate, bool unified_path) {
+    bool gate) {
   const SimDuration sim_window =
       static_cast<SimDuration>(Seconds(2.0) * opt.scale);
   SimcoreBenchResult r{name, "txns/s"};
@@ -519,14 +519,6 @@ inline SimcoreBenchResult BenchCrossShardCommitAt(
     config.workload.cross_shard_percentage = 50.0;
     config.crypto_mode = crypto::CryptoMode::kFast;
     config.seed = opt.seed;
-    if (unified_path) {
-      // Unified-commit-path variant: prepare-lock queueing, the
-      // fully-decided watermark, and calibrated 2PC cost entries all on
-      // — tracks the feature path's engine cost in the trajectory.
-      config.prepare_lock_queue_depth = 8;
-      config.twopc_watermark = true;
-      config.twopc_calibrated_costs = true;
-    }
     core::Architecture arch(config);
     arch.Start();
     double t0 = NowSeconds();
@@ -549,23 +541,25 @@ inline SimcoreBenchResult BenchCrossShardCommitAt(
 inline SimcoreBenchResult BenchCrossShardCommit(
     const SimcoreBenchOptions& opt) {
   return BenchCrossShardCommitAt(opt, "cross_shard_commit", 2,
-                                 /*gate=*/true, /*unified_path=*/false);
+                                 /*gate=*/true);
 }
 
 /// Shard-count trajectory points: the same cross-shard workload on 4
-/// planes, and the 2-plane unified commit path (queueing + watermark +
-/// calibrated costs). Not gated — they exist so BENCH_*.json carries the
-/// multi-pipeline scaling and the feature path's cost across PRs.
+/// planes, and the 2-plane unified commit path. Not gated — they exist
+/// so BENCH_*.json carries the multi-pipeline scaling and the feature
+/// path's cost across PRs. The unified path is the only commit path, so
+/// cross_shard_unified runs the cross_shard_commit configuration; the
+/// row stays so the trajectory is continuous.
 inline SimcoreBenchResult BenchCrossShardCommit4s(
     const SimcoreBenchOptions& opt) {
   return BenchCrossShardCommitAt(opt, "cross_shard_commit_4s", 4,
-                                 /*gate=*/false, /*unified_path=*/false);
+                                 /*gate=*/false);
 }
 
 inline SimcoreBenchResult BenchCrossShardUnified(
     const SimcoreBenchOptions& opt) {
   return BenchCrossShardCommitAt(opt, "cross_shard_unified", 2,
-                                 /*gate=*/false, /*unified_path=*/true);
+                                 /*gate=*/false);
 }
 
 /// Open-loop saturation points: the small open-loop deployment from
@@ -874,8 +868,6 @@ inline CrossShardAbortCheck RunCrossShardAbortCheck(uint64_t seed) {
     config.conflicts_possible = true;
     config.verifier_match_timeout = Millis(400);
     config.prepare_lock_queue_depth = queue_depth;
-    config.twopc_watermark = true;
-    config.twopc_calibrated_costs = true;
     config.crypto_mode = crypto::CryptoMode::kFast;
     config.seed = seed;
     return config;

@@ -53,10 +53,9 @@ struct CostModel {
   SimDuration per_message = Micros(3);
   /// Per-transaction batch-handling overhead (hash, copy).
   SimDuration per_txn = Micros(2);
-  /// Coordinator verifying one shard PREPARE vote: MAC check plus quorum
-  /// bookkeeping (votes are channel-authenticated, not DS-signed).
-  /// Charged per vote received instead of the generic per_message when
-  /// `twopc_calibrated_costs` is set.
+  /// Coordinator verifying one signed vote share plus its quorum
+  /// bookkeeping. A kShardVoteCert pays it in full for the first share
+  /// and half for each further one (batch verification, DESIGN.md §8).
   SimDuration twopc_vote_verify = Micros(6);
   /// Coordinator producing one signed decision message (MAC per
   /// recipient + durable-log append share). Amortized onto the
@@ -66,8 +65,7 @@ struct CostModel {
   /// phantom signatures.
   SimDuration twopc_decision_sign = Micros(8);
   /// Participant verifying one decision (MAC check + buffered write-set
-  /// lookup), charged with twopc_decision_sign per decision received
-  /// when `twopc_calibrated_costs` is set.
+  /// lookup), charged with twopc_decision_sign per decision received.
   SimDuration twopc_decision_verify = Micros(4);
 };
 
@@ -131,35 +129,12 @@ struct SystemConfig {
   /// flipped (single-plane scenarios never hold prepare locks and are
   /// unaffected).
   uint32_t prepare_lock_queue_depth = 8;
-  /// Fully-decided-watermark piggyback on 2PC vote/decision traffic:
-  /// truncates the coordinator COMMIT log and the shard verifiers'
-  /// applied/aborted dedup maps so 2PC bookkeeping is bounded by
-  /// in-flight transactions, not total cross-shard count. On by
-  /// default; the piggyback adds wire bytes (transmission delay is
-  /// size-dependent), so the sharded golden digests were regenerated
-  /// with the flip.
-  bool twopc_watermark = true;
   /// How long the coordinator retains a fully-acked COMMIT entry before
-  /// truncation, covering client retransmissions of lost responses (the
-  /// standard presumed-abort GC assumption). Only meaningful with
-  /// `twopc_watermark`.
+  /// watermark truncation, covering client retransmissions of lost
+  /// responses (the standard presumed-abort GC assumption). The
+  /// fully-decided watermark rides on every vote certificate and
+  /// decision, bounding 2PC bookkeeping by in-flight transactions.
   SimDuration twopc_decision_retention = Seconds(5);
-  /// Charge the calibrated CostModel entries (twopc_vote_verify /
-  /// twopc_decision_sign / twopc_decision_verify) for 2PC traffic
-  /// instead of the generic per-message CPU. On by default; the
-  /// calibrated charges shift vote/decision timing, pinned by the
-  /// regenerated sharded golden digests.
-  bool twopc_calibrated_costs = true;
-  /// Share-based quorum certificates on the 2PC vote path: shard
-  /// verifiers sign each prepare vote as a VoteShare and send one
-  /// kShardVoteCert message per coordinator per settle round (K shares
-  /// in one message instead of K kShardPrepareVote messages); the
-  /// coordinator batch-verifies the shares and attaches the full quorum
-  /// certificate to COMMIT decisions as proof, which participants
-  /// validate before applying. Coordinator and verifiers must agree on
-  /// this flag: a certificate-expecting verifier rejects proofless
-  /// COMMITs.
-  bool twopc_vote_certificates = true;
   /// Size of the replicated coordinator group (DESIGN.md §10). 1 keeps
   /// the original trusted-singleton coordinator and is the golden-digest
   /// anchor: no group machinery runs, no group message ever hits the

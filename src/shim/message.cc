@@ -595,38 +595,9 @@ void LinearCertMsg::BuildWire(Encoder* enc) const {
   cert.EncodeTo(enc);
 }
 
-size_t ShardPrepareVoteMsg::PayloadWireBytes() const {
-  size_t n = 8 + 4 + 8 + 1;
-  if (has_meta) n += VarintLen(acked_cseqs.size()) + 8 * acked_cseqs.size();
-  if (has_view) n += 8;
-  return n;
-}
-
-void ShardPrepareVoteMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::ShardPrepareVoteHeader>(*this);
-  h.global_id.set(global_id);
-  h.shard.set(shard);
-  h.seq.set(seq);
-  h.commit.set(commit);
-  PutPacked(enc, h);
-  // Watermark piggyback rides in a trailing section gated on has_meta,
-  // mirroring the VerifyMsg fragment section: runs without the feature
-  // keep their exact pre-watermark wire bytes (the golden scenario
-  // digests pin message sizes through the transmission-delay model).
-  if (has_meta) {
-    enc->PutVarint(acked_cseqs.size());
-    for (uint64_t cseq : acked_cseqs) {
-      enc->PutU64(cseq);
-    }
-  }
-  // View stamp: only a replicated coordinator group (replicas > 1) sets
-  // has_view, so singleton runs keep byte-identical votes.
-  if (has_view) enc->PutU64(coord_view);
-}
-
 size_t ShardVoteCertMsg::PayloadWireBytes() const {
-  size_t n = cert.WireSize() + 1;
-  if (has_meta) n += VarintLen(acked_cseqs.size()) + 8 * acked_cseqs.size();
+  size_t n = cert.WireSize() + 1 + VarintLen(acked_cseqs.size()) +
+             8 * acked_cseqs.size();
   if (has_view) n += 8;
   return n;
 }
@@ -634,20 +605,21 @@ size_t ShardVoteCertMsg::PayloadWireBytes() const {
 void ShardVoteCertMsg::BuildWire(Encoder* enc) const {
   PutPacked(enc, PackedFor<wire::ShardVoteCertHeader>(*this));
   cert.EncodeTo(enc);
-  enc->PutBool(has_meta);
-  if (has_meta) {
-    enc->PutVarint(acked_cseqs.size());
-    for (uint64_t cseq : acked_cseqs) {
-      enc->PutU64(cseq);
-    }
+  // Ack-section marker, always 1: kept so the wire layout (and every
+  // size-dependent delivery time) is unchanged.
+  enc->PutBool(true);
+  enc->PutVarint(acked_cseqs.size());
+  for (uint64_t cseq : acked_cseqs) {
+    enc->PutU64(cseq);
   }
+  // View stamp: only a replicated coordinator group (replicas > 1) sets
+  // has_view, so singleton runs carry no stamp.
   if (has_view) enc->PutU64(coord_view);
 }
 
 size_t ShardCommitDecisionMsg::PayloadWireBytes() const {
-  size_t n = 8 + 1;
+  size_t n = 8 + 1 + 16;
   if (!proof.shares.empty()) n += proof.WireSize();
-  if (has_meta) n += 16;
   if (has_view) n += 8 + 4;
   return n;
 }
@@ -657,14 +629,10 @@ void ShardCommitDecisionMsg::BuildWire(Encoder* enc) const {
   h.global_id.set(global_id);
   h.commit.set(commit);
   PutPacked(enc, h);
-  // The quorum proof is a trailing section present only under
-  // twopc_vote_certificates (an empty proof keeps legacy bytes), like
-  // the has_meta watermark section after it.
+  // The quorum proof is present only on COMMITs (aborts need none).
   if (!proof.shares.empty()) proof.EncodeTo(enc);
-  if (has_meta) {
-    enc->PutU64(cseq);
-    enc->PutU64(watermark);
-  }
+  enc->PutU64(cseq);
+  enc->PutU64(watermark);
   // View stamp: set only by a replicated coordinator group, so the
   // singleton decision wire bytes (and golden digests) are untouched.
   if (has_view) {

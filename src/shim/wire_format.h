@@ -262,19 +262,8 @@ struct LinearCertHeader {
 };
 static_assert(sizeof(LinearCertHeader) == 6, "wire layout changed");
 
-/// kShardPrepareVote prefix: the optional watermark piggyback follows
-/// when has_meta (the trailing section keeps legacy votes byte-exact).
-struct ShardPrepareVoteHeader {
-  MsgHeader hdr;
-  U64Field global_id;
-  U32Field shard;
-  U64Field seq;
-  BoolField commit;
-};
-static_assert(sizeof(ShardPrepareVoteHeader) == 26, "wire layout changed");
-
-/// kShardCommitDecision prefix: optional (cseq, watermark) follows when
-/// has_meta.
+/// kShardCommitDecision prefix: the COMMIT quorum proof (if any) and the
+/// (cseq, watermark) piggyback follow.
 struct ShardCommitDecisionHeader {
   MsgHeader hdr;
   U64Field global_id;
@@ -282,7 +271,7 @@ struct ShardCommitDecisionHeader {
 };
 static_assert(sizeof(ShardCommitDecisionHeader) == 14, "wire layout changed");
 
-/// kShardVoteCert prefix: the share list and optional watermark piggyback
+/// kShardVoteCert prefix: the share list and the watermark ack piggyback
 /// follow (share-based quorum certificate, DESIGN.md §8).
 struct ShardVoteCertHeader {
   MsgHeader hdr;

@@ -429,52 +429,26 @@ bool Verifier::PrepareFragment(SeqNum seq,
 }
 
 void Verifier::SendVote(TxnId global_id, PreparedFragment& frag) {
-  if (config_.twopc_vote_certificates) {
-    // Certificate transport: the vote becomes a signed share, buffered
-    // per coordinator. A batched section (settle loop, decision drain)
-    // flushes all its shares as one kShardVoteCert afterwards; outside
-    // one (retry timers) the share flushes alone.
-    crypto::VoteShare share;
-    share.global_id = global_id;
-    share.shard = config_.shard;
-    share.seq = frag.seq;
-    share.commit = frag.vote_commit;
-    share.signer = id();
-    if (frag.vote_sig.empty()) {
-      frag.vote_sig = keys_->Sign(
-          id(), crypto::VoteSigningBytes(global_id, config_.shard, frag.seq,
-                                         frag.vote_commit));
-    }
-    share.sig = frag.vote_sig;
-    // Buffered under the *resolved* target, so a leader change between
-    // buffering and flush still lands every share at the new leader.
-    vote_cert_buffer_[CoordTarget(frag)].shares.push_back(
-        std::move(share));
-    if (!vote_batching_) FlushVoteCerts();
-  } else {
-    auto vote = std::make_shared<shim::ShardPrepareVoteMsg>(id());
-    vote->global_id = global_id;
-    vote->shard = config_.shard;
-    vote->seq = frag.seq;
-    vote->commit = frag.vote_commit;
-    const CoordGroupState& gs = GroupStateOf(global_id);
-    if (config_.twopc_watermark) {
-      // Piggyback the applied-decision acks (cumulative, re-sent until
-      // the owning group's watermark confirms them) on the existing
-      // vote traffic — no extra message round. Acks are per group: the
-      // cseq spaces of different groups are independent.
-      vote->has_meta = true;
-      vote->acked_cseqs.assign(gs.unconfirmed_acks.begin(),
-                               gs.unconfirmed_acks.end());
-    }
-    if (config_.coord_groups.replicated()) {
-      // View stamp (wire realism only; the coordinator group resolves
-      // leadership from its own state). Absent on singleton wire bytes.
-      vote->has_view = true;
-      vote->coord_view = gs.view;
-    }
-    net_->Send(id(), CoordTarget(frag), vote, vote->WireSize());
+  // The vote becomes a signed share, buffered per coordinator. A batched
+  // section (settle loop, decision drain) flushes all its shares as one
+  // kShardVoteCert afterwards; outside one (retry timers) the share
+  // flushes alone.
+  crypto::VoteShare share;
+  share.global_id = global_id;
+  share.shard = config_.shard;
+  share.seq = frag.seq;
+  share.commit = frag.vote_commit;
+  share.signer = id();
+  if (frag.vote_sig.empty()) {
+    frag.vote_sig = keys_->Sign(
+        id(), crypto::VoteSigningBytes(global_id, config_.shard, frag.seq,
+                                       frag.vote_commit));
   }
+  share.sig = frag.vote_sig;
+  // Buffered under the *resolved* target, so a leader change between
+  // buffering and flush still lands every share at the new leader.
+  vote_cert_buffer_[CoordTarget(frag)].shares.push_back(std::move(share));
+  if (!vote_batching_) FlushVoteCerts();
   // Re-send until the coordinator's decision lands (lost decisions,
   // coordinator crash/recovery). Retries back off to a capped interval
   // but never stop: the prepare locks this fragment holds can only be
@@ -499,14 +473,11 @@ void Verifier::FlushVoteCerts() {
     // own group (CoordTarget resolves per gid), so the piggybacked acks
     // and view are that one group's.
     const CoordGroupState& gs = coord_groups_[GroupOfTarget(coordinator)];
-    if (config_.twopc_watermark) {
-      // The ack piggyback rides once per certificate instead of once
-      // per vote — the same confirmation latency at a fraction of the
-      // redundant bytes.
-      msg->has_meta = true;
-      msg->acked_cseqs.assign(gs.unconfirmed_acks.begin(),
-                              gs.unconfirmed_acks.end());
-    }
+    // The applied-decision acks (cumulative, re-sent until the group's
+    // watermark confirms them) ride once per certificate — no extra
+    // message round.
+    msg->acked_cseqs.assign(gs.unconfirmed_acks.begin(),
+                            gs.unconfirmed_acks.end());
     if (config_.coord_groups.replicated()) {
       msg->has_view = true;
       msg->coord_view = gs.view;
@@ -548,7 +519,7 @@ void Verifier::HandleDecision(const sim::Envelope& env) {
   } else if (env.from != it->second.ref.coordinator) {
     return;
   }
-  if (config_.twopc_vote_certificates && msg->commit) {
+  if (msg->commit) {
     // A COMMIT must prove its quorum: every participant's signed YES
     // share, including this shard's own. Aborts need no proof (abort is
     // the presumed, safe direction). A rejected decision is simply
@@ -564,8 +535,7 @@ void Verifier::HandleDecision(const sim::Envelope& env) {
       return;
     }
   }
-  ApplyDecision(msg->global_id, msg->commit, msg->has_meta ? msg->cseq : 0,
-                msg->has_meta ? msg->watermark : 0);
+  ApplyDecision(msg->global_id, msg->commit, msg->cseq, msg->watermark);
 }
 
 void Verifier::HandleCoordRedirect(const sim::Envelope& env) {
@@ -663,7 +633,6 @@ void Verifier::RecordGlobalOutcome(TxnId global_id, bool applied,
   } else {
     aborted_global_[global_id] = cseq;
   }
-  if (!config_.twopc_watermark) return;
   if (cseq > 0) {
     CoordGroupState& gs = GroupStateOf(global_id);
     gs.decided_by_cseq[cseq] = {global_id, applied};
@@ -693,7 +662,7 @@ void Verifier::RecordGlobalOutcome(TxnId global_id, bool applied,
 }
 
 void Verifier::PruneAtWatermark(CoordGroupState& gs, uint64_t watermark) {
-  if (!config_.twopc_watermark || watermark == 0) return;
+  if (watermark == 0) return;
   // Every decision with cseq <= watermark is applied at every participant
   // (the group's coordinator advanced its watermark over full ack sets),
   // so the dedup entries for them can never be needed again: the

@@ -47,18 +47,6 @@ struct VerifierConfig {
   /// Bound on how many times one waiter may hop to a different blocking
   /// key before it falls back to the abort rule (livelock guard).
   uint32_t prepare_lock_max_requeues = 16;
-  /// Fully-decided-watermark piggyback (2PC state pruning): votes carry
-  /// applied-decision acks, decisions carry (cseq, watermark), and the
-  /// per-shard applied/aborted global-txn maps are truncated at the
-  /// watermark. Off by default: the piggyback changes vote/decision wire
-  /// bytes, which the golden-scenario replay contract pins.
-  bool twopc_watermark = false;
-  /// Share-based quorum certificates on the vote path: prepare votes
-  /// are Schnorr-signed VoteShares batched into one kShardVoteCert
-  /// message per coordinator per settle round, and COMMIT decisions
-  /// must carry a validated quorum proof before this shard applies.
-  /// Must match the coordinator's setting.
-  bool twopc_vote_certificates = false;
   /// Coordinator topology (DESIGN.md §10/§12): G gid-partitioned groups
   /// of R members each. The default {1, 1} singleton keeps the decision
   /// sender guard pinned to the fragment's launching coordinator and
@@ -116,11 +104,11 @@ class Verifier : public sim::Actor {
   uint64_t twopc_votes_no() const { return twopc_votes_no_; }
   uint64_t twopc_committed() const { return twopc_committed_; }
   uint64_t twopc_aborted() const { return twopc_aborted_; }
-  /// kShardVoteCert messages sent (certificate transport). The ratio of
-  /// votes cast to certificates sent is the aggregation factor.
+  /// kShardVoteCert messages sent. The ratio of votes cast to
+  /// certificates sent is the aggregation factor.
   uint64_t vote_certs_sent() const { return vote_certs_sent_; }
   /// COMMIT decisions dropped for a missing or invalid quorum proof
-  /// (certificate transport only; the vote retry re-solicits).
+  /// (the vote retry re-solicits).
   uint64_t decisions_rejected() const { return decisions_rejected_; }
   size_t prepare_locks_held() const { return prepare_locks_.size(); }
   /// The shared lock table holding this shard's 2PC prepare locks. The
@@ -137,11 +125,10 @@ class Verifier : public sim::Actor {
 
   /// Global txn ids this shard applied / aborted a fragment write set
   /// for, each with the coordinator decision sequence (cseq; 0 when the
-  /// outcome was a presumed-abort answer or the watermark piggyback is
-  /// off). This is the atomic-commit evidence the cross-shard tests
-  /// check; under `twopc_watermark` both maps are truncated at the
-  /// coordinator's fully-decided watermark, bounding them by in-flight
-  /// transactions instead of total cross-shard count.
+  /// outcome was a presumed-abort answer). Both maps are truncated at
+  /// the coordinator's fully-decided watermark, bounding them by
+  /// in-flight transactions instead of total cross-shard count; the
+  /// untruncated evidence is decision_log().
   const std::map<TxnId, uint64_t>& applied_global() const {
     return applied_global_;
   }
@@ -211,9 +198,8 @@ class Verifier : public sim::Actor {
     SeqNum seq = 0;
     shim::VerifyMsg::TxnRef ref;
     bool vote_commit = false;
-    /// Memoized share signature (certificate transport): the vote is
-    /// immutable once cast, so retries re-send the same signature
-    /// instead of re-signing.
+    /// Memoized share signature: the vote is immutable once cast, so
+    /// retries re-send the same signature instead of re-signing.
     Bytes vote_sig;
     sim::EventId retry_timer = 0;
     /// Current vote-retry interval; doubles per retry up to a cap.
@@ -332,7 +318,7 @@ class Verifier : public sim::Actor {
   void SendVote(TxnId global_id, PreparedFragment& frag);
   /// Flushes the shares buffered by SendVote during a batched section
   /// (settle loop, decision-drain) as one kShardVoteCert message per
-  /// coordinator. No-op outside the certificate transport.
+  /// coordinator.
   void FlushVoteCerts();
   void ApplyDecision(TxnId global_id, bool commit, uint64_t cseq,
                      uint64_t watermark);

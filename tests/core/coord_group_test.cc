@@ -232,8 +232,8 @@ TEST(CoordGroupTest, DecisionsStayGroupLocalAndForeignVotesDropped) {
   }
   EXPECT_GT(total_decisions, 50u) << "not enough cross-shard traffic";
 
-  // Inject a vote for a gid owned by some other group directly at
-  // group 0 (spoofed from shard 0's verifier). Group 0 must drop it
+  // Inject a validly signed one-share vote certificate for a gid owned
+  // by some other group directly at group 0 (as shard 0's verifier). Group 0 must drop it
   // without creating any state: no decision, no presumed abort.
   TxnId foreign_gid = 0;
   for (TxnId gid = 1u << 20; gid < (1u << 20) + 64; ++gid) {
@@ -250,12 +250,18 @@ TEST(CoordGroupTest, DecisionsStayGroupLocalAndForeignVotesDropped) {
   TxnCoordinator* group0 = arch.coordinator_member(0, 0);
   const uint64_t dropped_before = group0->foreign_votes_dropped();
   const uint64_t presumed_before = group0->presumed_aborts_logged();
-  auto vote = std::make_shared<shim::ShardPrepareVoteMsg>(
-      ShardPlane::VerifierId(0));
-  vote->global_id = foreign_gid;
-  vote->shard = 0;
-  vote->seq = 1;
-  vote->commit = true;
+  auto vote =
+      std::make_shared<shim::ShardVoteCertMsg>(ShardPlane::VerifierId(0));
+  crypto::VoteShare share;
+  share.global_id = foreign_gid;
+  share.shard = 0;
+  share.seq = 1;
+  share.commit = true;
+  share.signer = ShardPlane::VerifierId(0);
+  share.sig = arch.keys()->Sign(
+      ShardPlane::VerifierId(0),
+      crypto::VoteSigningBytes(foreign_gid, 0, 1, true));
+  vote->cert.shares.push_back(share);
   arch.network()->Send(ShardPlane::VerifierId(0), group0->id(), vote,
                        vote->WireSize());
   arch.simulator()->RunUntil(Seconds(4));

@@ -15,6 +15,7 @@
 #include "core/serverless_bft.h"
 #include "faults/controller.h"
 #include "faults/schedule.h"
+#include "workflow_evidence.h"
 
 namespace sbft::core {
 namespace {
@@ -225,7 +226,6 @@ TEST(CoordinatorFailoverTest, SingletonStallsWhereGroupFailsOver) {
 // monotonicity the pruning machinery depends on.
 TEST(CoordinatorFailoverTest, WatermarkRederivedAfterTakeover) {
   SystemConfig config = FailoverConfig(23, 3);
-  config.twopc_watermark = true;
   config.twopc_decision_retention = Millis(1500);
   Architecture arch(config);
   arch.Start();
@@ -275,7 +275,6 @@ TEST(CoordinatorFailoverTest, WorkflowHopsExactlyOnceAcrossFailover) {
   config.coordinator_replicas = 3;
   config.coordinator_heartbeat = Millis(100);
   config.coordinator_failover_timeout = Millis(400);
-  config.twopc_watermark = false;  // Keep the full audit maps.
   config.crypto_mode = crypto::CryptoMode::kFast;
   config.seed = 33;
   config.traffic.open_loop = true;
@@ -299,44 +298,10 @@ TEST(CoordinatorFailoverTest, WorkflowHopsExactlyOnceAcrossFailover) {
   for (const auto& source : arch.sources()) source->Pause();
   arch.simulator()->RunUntil(Seconds(9));
 
-  std::set<TxnId> applied;
-  std::set<TxnId> aborted;
-  for (uint32_t s = 0; s < arch.shard_count(); ++s) {
-    const verifier::Verifier* v = arch.plane(s)->verifier();
-    for (const auto& [gid, cseq] : v->applied_global()) applied.insert(gid);
-    for (const auto& [gid, cseq] : v->aborted_global()) aborted.insert(gid);
-  }
-  for (TxnId gid : applied) {
-    EXPECT_FALSE(aborted.contains(gid))
-        << "hop txn " << gid << " applied and aborted";
-  }
-
-  uint64_t chains_completed = 0;
-  uint64_t chains_seen = 0;
-  for (const auto& source : arch.sources()) {
-    for (const TrafficSource::ChainRecord& chain : source->chains()) {
-      ++chains_seen;
-      if (chain.completed) ++chains_completed;
-      for (size_t hop = 0; hop < chain.hop_attempts.size(); ++hop) {
-        const auto& attempts = chain.hop_attempts[hop];
-        int applied_attempts = 0;
-        for (TxnId id : attempts) {
-          if (applied.contains(id)) ++applied_attempts;
-        }
-        EXPECT_LE(applied_attempts, 1)
-            << "chain " << chain.chain_id << " hop " << hop
-            << " applied twice across the failover";
-        if (chain.completed) {
-          EXPECT_EQ(applied_attempts, 1)
-              << "chain " << chain.chain_id << " hop " << hop
-              << " completed without an applied attempt";
-        }
-      }
-    }
-  }
+  WorkflowAudit audit = AuditWorkflowChains(arch);
   EXPECT_GE(arch.CoordinatorViewChanges(), 1u);
-  EXPECT_GT(chains_seen, 100u);
-  EXPECT_GT(chains_completed, 50u);
+  EXPECT_GT(audit.chains_seen, 100u);
+  EXPECT_GT(audit.chains_completed, 50u);
 }
 
 }  // namespace

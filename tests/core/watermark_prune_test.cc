@@ -15,7 +15,7 @@
 namespace sbft::core {
 namespace {
 
-SystemConfig WatermarkConfig(bool watermark) {
+SystemConfig WatermarkConfig() {
   SystemConfig config;
   config.shard_count = 2;
   config.shim.n = 4;
@@ -27,13 +27,12 @@ SystemConfig WatermarkConfig(bool watermark) {
   config.workload.cross_shard_percentage = 30.0;
   config.crypto_mode = crypto::CryptoMode::kFast;
   config.seed = 13;
-  config.twopc_watermark = watermark;
   config.twopc_decision_retention = Millis(500);
   return config;
 }
 
 TEST(WatermarkPruneTest, CommitLogAndDedupMapsStayBounded) {
-  Architecture arch(WatermarkConfig(true));
+  Architecture arch(WatermarkConfig());
   arch.Start();
   arch.simulator()->RunUntil(Seconds(8));
 
@@ -63,28 +62,11 @@ TEST(WatermarkPruneTest, CommitLogAndDedupMapsStayBounded) {
   }
 }
 
-TEST(WatermarkPruneTest, WithoutWatermarkLogGrowsWithHistory) {
-  // The contrast run: identical workload, feature off — the COMMIT log
-  // holds every committed cross-shard transaction of the run, which is
-  // exactly the growth the watermark removes.
-  Architecture arch(WatermarkConfig(false));
-  arch.Start();
-  arch.simulator()->RunUntil(Seconds(8));
-
-  const TxnCoordinator* coordinator = arch.coordinator();
-  ASSERT_NE(coordinator, nullptr);
-  EXPECT_GT(coordinator->commits_decided(), 400u);
-  EXPECT_EQ(coordinator->decisions().size(), coordinator->commits_decided());
-  EXPECT_EQ(coordinator->decisions_pruned(), 0u);
-  EXPECT_EQ(coordinator->watermark(), 0u);
-}
-
 TEST(WatermarkPruneTest, AtomicityHoldsWhilePruning) {
   // Over a window short enough that pruning has not erased the evidence,
-  // the atomic-commit property must hold exactly as without the feature:
-  // no gid applied on one shard and aborted on another, and every
+  // the atomic-commit property must hold: no gid applied on one shard and aborted on another, and every
   // applied gid matches a logged COMMIT still inside retention.
-  SystemConfig config = WatermarkConfig(true);
+  SystemConfig config = WatermarkConfig();
   config.twopc_decision_retention = Seconds(30);  // Keep the evidence.
   Architecture arch(config);
   arch.Start();

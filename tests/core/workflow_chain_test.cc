@@ -2,18 +2,17 @@
 // cross-shard transaction driven by an open-loop source (Beldi-style —
 // hop k+1 only after hop k commits, aborted hops reissued as fresh
 // transactions, timeouts retransmitting the same signed request). Under
-// a coordinator crash mid-run, the verifiers' global applied/aborted
-// evidence must show: at most one attempt per hop ever applied, applied
-// hops atomic across shards, and completed chains with exactly one
-// applied attempt for every hop.
+// a coordinator crash mid-run, the verifiers' decision logs must show:
+// at most one attempt per hop ever applied, applied hops atomic across
+// shards, and completed chains with exactly one applied attempt for
+// every hop.
 
 #include <gtest/gtest.h>
-
-#include <set>
 
 #include "core/serverless_bft.h"
 #include "faults/controller.h"
 #include "faults/schedule.h"
+#include "workflow_evidence.h"
 
 namespace sbft::core {
 namespace {
@@ -27,9 +26,6 @@ SystemConfig WorkflowChainConfig() {
   config.n_e = 3;
   config.f_e = 1;
   config.coordinator_vote_timeout = Millis(600);
-  // Keep the full applied/aborted evidence: watermark pruning would
-  // truncate exactly the maps this test audits.
-  config.twopc_watermark = false;
   config.crypto_mode = crypto::CryptoMode::kFast;
   config.seed = 33;
   config.traffic.open_loop = true;
@@ -65,58 +61,13 @@ TEST(WorkflowChainTest, HopsCommitExactlyOnceAcrossCoordinatorCrash) {
   for (const auto& source : arch.sources()) source->Pause();
   arch.simulator()->RunUntil(Seconds(9.0));
 
-  // Union the per-shard global evidence.
-  std::set<TxnId> applied;
-  std::set<TxnId> aborted;
-  for (uint32_t s = 0; s < arch.shard_count(); ++s) {
-    const verifier::Verifier* v = arch.plane(s)->verifier();
-    for (const auto& [gid, cseq] : v->applied_global()) applied.insert(gid);
-    for (const auto& [gid, cseq] : v->aborted_global()) aborted.insert(gid);
-  }
-  // Atomicity: no hop attempt applied on one shard, aborted on another.
-  for (TxnId gid : applied) {
-    EXPECT_FALSE(aborted.contains(gid))
-        << "hop txn " << gid << " applied and aborted";
-  }
-
-  uint64_t chains_completed = 0;
-  uint64_t chains_seen = 0;
-  uint64_t hop_retries = 0;
-  for (const auto& source : arch.sources()) {
-    for (const TrafficSource::ChainRecord& chain : source->chains()) {
-      ++chains_seen;
-      if (chain.completed) ++chains_completed;
-      for (size_t hop = 0; hop < chain.hop_attempts.size(); ++hop) {
-        const auto& attempts = chain.hop_attempts[hop];
-        if (attempts.size() > 1) hop_retries += attempts.size() - 1;
-        // Exactly-once per hop: of all attempts ever issued for this
-        // hop, at most one is in any shard's applied set — a duplicate
-        // application (same id twice is impossible by the dedup maps;
-        // two *different* attempt ids both applying is the bug this
-        // guards) would double-run the function.
-        int applied_attempts = 0;
-        for (TxnId id : attempts) {
-          if (applied.contains(id)) ++applied_attempts;
-        }
-        EXPECT_LE(applied_attempts, 1)
-            << "chain " << chain.chain_id << " hop " << hop
-            << " applied twice";
-        if (chain.completed) {
-          // A completed chain committed every hop exactly once, and no
-          // prefix is missing (no chain partially visible).
-          EXPECT_EQ(applied_attempts, 1)
-              << "chain " << chain.chain_id << " hop " << hop
-              << " completed without an applied attempt";
-        }
-      }
-    }
-  }
+  WorkflowAudit audit = AuditWorkflowChains(arch);
   // The run actually exercised the machinery: chains completed across
   // the crash, and at least some hops needed abort-path retries.
-  EXPECT_GT(chains_seen, 100u);
-  EXPECT_GT(chains_completed, 50u);
+  EXPECT_GT(audit.chains_seen, 100u);
+  EXPECT_GT(audit.chains_completed, 50u);
   EXPECT_GT(arch.TotalRetransmissions(), 0u);
-  SUCCEED() << "hop retries observed: " << hop_retries;
+  SUCCEED() << "hop retries observed: " << audit.hop_retries;
 }
 
 }  // namespace

@@ -160,50 +160,6 @@ TEST(MessageTest, PreparedProofRoundTrip) {
   EXPECT_EQ(parsed.batch->Hash(), proof.batch->Hash());
 }
 
-TEST(MessageTest, TwoPcWatermarkSectionsAreGatedOnHasMeta) {
-  // The watermark piggyback rides in trailing sections gated on
-  // `has_meta`; without the flag the messages must keep their exact
-  // legacy wire bytes (transmission delay is size-dependent and the
-  // golden scenario digests pin the event stream).
-  ShardPrepareVoteMsg legacy_vote(9);
-  legacy_vote.global_id = 42;
-  legacy_vote.shard = 1;
-  legacy_vote.seq = 7;
-  legacy_vote.commit = true;
-
-  ShardPrepareVoteMsg meta_vote(9);
-  meta_vote.global_id = 42;
-  meta_vote.shard = 1;
-  meta_vote.seq = 7;
-  meta_vote.commit = true;
-  meta_vote.has_meta = true;
-  meta_vote.acked_cseqs = {3, 4, 9};
-
-  EXPECT_GT(meta_vote.WireSize(), legacy_vote.WireSize());
-  // An empty ack list still differs (the count marker) so the encoding
-  // stays injective between meta and legacy forms at the sender.
-  ShardPrepareVoteMsg empty_meta_vote(9);
-  empty_meta_vote.global_id = 42;
-  empty_meta_vote.shard = 1;
-  empty_meta_vote.seq = 7;
-  empty_meta_vote.commit = true;
-  empty_meta_vote.has_meta = true;
-  EXPECT_GT(empty_meta_vote.WireSize(), legacy_vote.WireSize());
-
-  ShardCommitDecisionMsg legacy_decision(9);
-  legacy_decision.global_id = 42;
-  legacy_decision.commit = true;
-
-  ShardCommitDecisionMsg meta_decision(9);
-  meta_decision.global_id = 42;
-  meta_decision.commit = true;
-  meta_decision.has_meta = true;
-  meta_decision.cseq = 11;
-  meta_decision.watermark = 8;
-
-  EXPECT_EQ(meta_decision.WireSize(), legacy_decision.WireSize() + 16);
-}
-
 TEST(MessageTest, AllKindsEncodeNonEmpty) {
   crypto::Digest d = crypto::Sha256::Hash("d");
   std::vector<std::unique_ptr<Message>> msgs;
@@ -226,7 +182,6 @@ TEST(MessageTest, AllKindsEncodeNonEmpty) {
   msgs.push_back(std::make_unique<PaxosAcceptedMsg>(1));
   msgs.push_back(std::make_unique<LinearVoteMsg>(1));
   msgs.push_back(std::make_unique<LinearCertMsg>(1));
-  msgs.push_back(std::make_unique<ShardPrepareVoteMsg>(1));
   msgs.push_back(std::make_unique<ShardVoteCertMsg>(1));
   msgs.push_back(std::make_unique<ShardCommitDecisionMsg>(1));
   for (const auto& msg : msgs) {

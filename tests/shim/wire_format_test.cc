@@ -386,34 +386,30 @@ TEST(WireFormatTest, LinearMessagesMatchLegacyBytes) {
 }
 
 TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
-  ShardPrepareVoteMsg vote(9);
-  vote.global_id = 42;
-  vote.shard = 1;
-  vote.seq = 7;
-  vote.commit = true;
-  vote.has_meta = true;
-  vote.acked_cseqs = {3, 4};
-  ExpectLegacyBytes(vote, [&](Encoder* e) {
-    e->PutU64(vote.global_id);
-    e->PutU32(vote.shard);
-    e->PutU64(vote.seq);
-    e->PutBool(vote.commit);
-    e->PutVarint(vote.acked_cseqs.size());
-    for (uint64_t c : vote.acked_cseqs) e->PutU64(c);
-  });
-
+  // The vote certificate's ack section (with its marker byte, always 1)
+  // and the decision's (cseq, watermark) section are unconditional.
   ShardVoteCertMsg vc(9);
   vc.cert = MakeVoteCert();
+  vc.acked_cseqs = {3, 4};
   ExpectLegacyBytes(vc, [&](Encoder* e) {
     vc.cert.EncodeTo(e);
-    e->PutBool(false);
+    e->PutBool(true);
+    e->PutVarint(vc.acked_cseqs.size());
+    for (uint64_t c : vc.acked_cseqs) e->PutU64(c);
+  });
+
+  ShardVoteCertMsg no_acks(9);
+  no_acks.cert = MakeVoteCert();
+  ExpectLegacyBytes(no_acks, [&](Encoder* e) {
+    no_acks.cert.EncodeTo(e);
+    e->PutBool(true);
+    e->PutVarint(0);
   });
 
   ShardCommitDecisionMsg decision(9);
   decision.global_id = 42;
   decision.commit = true;
   decision.proof = MakeVoteCert();
-  decision.has_meta = true;
   decision.cseq = 11;
   decision.watermark = 8;
   ExpectLegacyBytes(decision, [&](Encoder* e) {
@@ -424,12 +420,18 @@ TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
     e->PutU64(decision.watermark);
   });
 
-  // Legacy form (no proof, no meta) is exactly the old 14-byte message.
-  ShardCommitDecisionMsg legacy(9);
-  legacy.global_id = 42;
-  legacy.commit = true;
-  EXPECT_EQ(legacy.Serialized().size(),
-            sizeof(wire::ShardCommitDecisionHeader));
+  // An abort carries no proof: the 14-byte prefix plus (cseq, watermark).
+  ShardCommitDecisionMsg abort(9);
+  abort.global_id = 42;
+  abort.cseq = 12;
+  ExpectLegacyBytes(abort, [&](Encoder* e) {
+    e->PutU64(abort.global_id);
+    e->PutBool(abort.commit);
+    e->PutU64(abort.cseq);
+    e->PutU64(abort.watermark);
+  });
+  EXPECT_EQ(abort.Serialized().size(),
+            sizeof(wire::ShardCommitDecisionHeader) + 16);
 }
 
 // ---------------------------------------------------------------------------
@@ -528,16 +530,14 @@ TEST(WireFormatTest, TryFromRejectsMalformedBuffersPerKind) {
   LinearCertMsg lc(3);
   ExpectTryFromRejects<wire::LinearCertHeader>(lc, MsgKind::kLinearCert);
 
-  ShardPrepareVoteMsg vote(9);
-  ExpectTryFromRejects<wire::ShardPrepareVoteHeader>(
-      vote, MsgKind::kShardPrepareVote);
-
   ShardVoteCertMsg svc(9);
   svc.cert = MakeVoteCert();
   ExpectTryFromRejects<wire::ShardVoteCertHeader>(svc,
                                                   MsgKind::kShardVoteCert);
 
   ShardCommitDecisionMsg dec(9);
+  dec.cseq = 5;
+  dec.watermark = 3;
   ExpectTryFromRejects<wire::ShardCommitDecisionHeader>(
       dec, MsgKind::kShardCommitDecision);
 
@@ -577,20 +577,29 @@ TEST(WireFormatTest, PackedFieldsRoundTripValues) {
 }
 
 TEST(WireFormatTest, ParsedViewFieldsMatchMessage) {
-  ShardPrepareVoteMsg vote(12);
-  vote.global_id = 0x1122334455667788ULL;
-  vote.shard = 3;
-  vote.seq = 901;
-  vote.commit = false;
-  const auto* h = wire::TryFrom<wire::ShardPrepareVoteHeader>(
-      vote.Serialized(), MsgKind::kShardPrepareVote);
+  ShardCommitDecisionMsg decision(12);
+  decision.global_id = 0x1122334455667788ULL;
+  decision.commit = false;
+  decision.cseq = 901;
+  decision.watermark = 900;
+  const Bytes& bytes = decision.Serialized();
+  const auto* h = wire::TryFrom<wire::ShardCommitDecisionHeader>(
+      bytes, MsgKind::kShardCommitDecision);
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->hdr.sender.get(), 12u);
   EXPECT_EQ(h->global_id.get(), 0x1122334455667788ULL);
-  EXPECT_EQ(h->shard.get(), 3u);
-  EXPECT_EQ(h->seq.get(), 901u);
   EXPECT_FALSE(h->commit.get());
   EXPECT_TRUE(h->commit.valid());
+  // The (cseq, watermark) section follows the prefix directly on a
+  // proofless decision.
+  Decoder tail(bytes.data() + sizeof(wire::ShardCommitDecisionHeader),
+               bytes.size() - sizeof(wire::ShardCommitDecisionHeader));
+  uint64_t cseq = 0;
+  uint64_t watermark = 0;
+  ASSERT_TRUE(tail.GetU64(&cseq).ok());
+  ASSERT_TRUE(tail.GetU64(&watermark).ok());
+  EXPECT_EQ(cseq, 901u);
+  EXPECT_EQ(watermark, 900u);
 }
 
 }  // namespace
