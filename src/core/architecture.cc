@@ -237,13 +237,7 @@ void Architecture::BuildCoordinatorMember(
             static_cast<const shim::Message*>(env.message.get());
         if (msg != nullptr && msg->kind == shim::MsgKind::kClientRequest) {
           // Verify the client's DS + sign each fragment (amortized).
-          // Requests queued behind a busy CPU coalesce into one job that
-          // batch-verifies their signatures: each one after the first
-          // pays half a verification, the vote-certificate rule
-          // (DESIGN.md §8, §13).
-          return {costs.per_message + costs.ds_verify + costs.ds_sign,
-                  TxnCoordinator::kClientRequestJobClass,
-                  costs.per_message + costs.ds_verify / 2 + costs.ds_sign};
+          return costs.ClientRequestJob(costs.ds_sign);
         }
         if (msg != nullptr && msg->kind == shim::MsgKind::kShardVoteCert) {
           // Share-based certificate: full verification charge for the

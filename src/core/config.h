@@ -8,6 +8,7 @@
 #include "core/coord_group.h"
 #include "crypto/keys.h"
 #include "serverless/cloud.h"
+#include "shim/message.h"
 #include "shim/shim_config.h"
 #include "sim/network.h"
 #include "workload/traffic.h"
@@ -67,6 +68,16 @@ struct CostModel {
   /// Participant verifying one decision (MAC check + buffered write-set
   /// lookup), charged with twopc_decision_sign per decision received.
   SimDuration twopc_decision_verify = Micros(4);
+
+  /// CPU charge of one DS-signed client request, plus `also` for what
+  /// the receiver does with it beyond verifying it. Requests queued
+  /// behind a busy CPU coalesce into one job that batch-verifies their
+  /// signatures, so each one after the first pays half a verification —
+  /// the vote-certificate rule (DESIGN.md §8, §13).
+  sim::JobCost ClientRequestJob(SimDuration also) const {
+    return {per_message + ds_verify + also, shim::kClientRequestJobClass,
+            per_message + ds_verify / 2 + also};
+  }
 };
 
 /// \brief Full description of one architecture instance

@@ -119,27 +119,17 @@ void TxnCoordinator::OnMessage(const sim::Envelope& env) {
 
 void TxnCoordinator::OnMessageBatch(const std::vector<sim::Envelope>& batch) {
   if (crashed_) return;
-  std::vector<const shim::ClientRequestMsg*> requests(batch.size());
-  std::vector<Bytes> signing_bytes(batch.size());
-  std::vector<crypto::KeyRegistry::BatchItem> items;
-  items.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    requests[i] = shim::MessageAs<shim::ClientRequestMsg>(
-        batch[i], shim::MsgKind::kClientRequest);
-    if (requests[i] == nullptr) continue;
-    signing_bytes[i] = shim::ClientRequestMsg::SigningBytes(requests[i]->txn);
-    items.push_back({requests[i]->txn.client, &signing_bytes[i],
-                     &requests[i]->client_sig});
-  }
   // One verification for the whole job; when it fails, each request is
   // verified on its own in ProcessClientRequest and only the forged ones
   // are dropped.
-  const bool verified = keys_->BatchVerify(items);
+  const shim::VerifiedClientRequests checked =
+      shim::BatchVerifyClientRequests(*keys_, batch);
   for (size_t i = 0; i < batch.size(); ++i) {
-    if (requests[i] == nullptr) {
+    if (checked.requests[i] == nullptr) {
       OnMessage(batch[i]);
     } else {
-      ProcessClientRequest(batch[i].message, *requests[i], verified);
+      ProcessClientRequest(batch[i].message, *checked.requests[i],
+                           checked.verified);
     }
   }
 }

@@ -111,10 +111,6 @@ class TxnCoordinator : public sim::Actor {
   /// forged request rejects only itself.
   void OnMessageBatch(const std::vector<sim::Envelope>& batch) override;
 
-  /// ServerResource job class of client requests: the delivery cost hook
-  /// tags them so that requests queued behind a busy CPU coalesce.
-  static constexpr uint32_t kClientRequestJobClass = 1;
-
   /// Crash-stop / recover hook (fault engine). Crashing silences the
   /// actor; recovery wipes the volatile vote state but keeps the
   /// decision log — the classic 2PC stable-storage split. In group

@@ -43,13 +43,16 @@ sim::Network::CostFn ShardPlane::ShimCostFn() const {
   // client request costs a MAC check, not a DS verification.
   bool crypto_free = config_.protocol == Protocol::kServerlessCft ||
                      config_.protocol == Protocol::kNoShim;
-  return [costs, crypto_free](const sim::Envelope& env) -> SimDuration {
+  return [costs, crypto_free](const sim::Envelope& env) -> sim::JobCost {
     const auto* msg = static_cast<const shim::Message*>(env.message.get());
     if (msg == nullptr) return costs.per_message;
     switch (msg->kind) {
       case shim::MsgKind::kClientRequest:
-        return costs.per_message +
-               (crypto_free ? costs.mac : costs.ds_verify);
+        // A MAC-checked request has no signature to batch-verify;
+        // DS-signed ones queued at a busy replica coalesce (DESIGN.md
+        // §13).
+        if (crypto_free) return costs.per_message + costs.mac;
+        return costs.ClientRequestJob(0);
       case shim::MsgKind::kPrePrepare: {
         const auto* pp = static_cast<const shim::PrePrepareMsg*>(msg);
         return costs.per_message + costs.mac +

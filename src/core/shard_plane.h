@@ -82,6 +82,12 @@ class ShardPlane {
     return paxos_replicas_;
   }
 
+  /// CPU model of shim node `index` (the NoShim coordinator is index 0),
+  /// or nullptr.
+  const sim::ServerResource* shim_cpu(uint32_t index) const {
+    return index < shim_cpus_.size() ? shim_cpus_[index].get() : nullptr;
+  }
+
   /// The shim node clients (or the coordinator) should currently talk to.
   ActorId CurrentPrimary() const;
 

@@ -1,5 +1,8 @@
 #include "serverless/executor.h"
 
+#include <cassert>
+#include <string_view>
+
 #include "common/logging.h"
 #include "crypto/sha256.h"
 
@@ -91,12 +94,16 @@ void ExecutorFunction::OnMessage(const sim::Envelope& env) {
 
 void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
   executing_ = true;  // The network may duplicate replies (§IV-E).
-  // Build key -> (value, version) view of the fetched state.
-  std::unordered_map<std::string, const shim::StorageReadReplyMsg::Item*>
-      fetched;
-  for (const auto& item : reply.items) {
-    fetched[item.key] = &item;
-  }
+  // The storage answers FetchReadSet's keys in request order: one item
+  // per non-compute op of the batch, so the next op's item is the next
+  // one in the reply.
+  size_t next_item = 0;
+  auto fetched_version = [&](const workload::Operation& op) -> uint64_t {
+    if (next_item >= reply.items.size()) return 0;
+    const auto& item = reply.items[next_item++];
+    assert(item.key == op.key);
+    return item.found ? item.version : 0;
+  };
 
   storage::RwSet rw;
   // The canonical result r covers the state transition (batch + write
@@ -119,14 +126,12 @@ void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
   // write-through view ("any intermediate results are stored locally",
   // §IV-C): a later transaction sees the buffered writes — and the
   // version bumps — of earlier ones, exactly as the verifier will apply
-  // them.
-  std::unordered_map<std::string, uint64_t> local_version;
-  auto version_of = [&](const std::string& key) -> uint64_t {
-    auto lit = local_version.find(key);
-    if (lit != local_version.end()) return lit->second;
-    auto it = fetched.find(key);
-    return (it != fetched.end() && it->second->found) ? it->second->version
-                                                      : 0;
+  // them. Keys point into the batch, which work_ keeps alive.
+  std::unordered_map<std::string_view, uint64_t> local_version;
+  auto version_of = [&](const workload::Operation& op) -> uint64_t {
+    const uint64_t fetched = fetched_version(op);
+    auto lit = local_version.find(op.key);
+    return lit != local_version.end() ? lit->second : fetched;
   };
 
   std::vector<storage::RwSet> txn_rws;
@@ -138,13 +143,13 @@ void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
     for (const workload::Operation& op : txn.ops) {
       switch (op.type) {
         case workload::OpType::kRead: {
-          txn_rw.reads.push_back({op.key, version_of(op.key)});
+          txn_rw.reads.push_back({op.key, version_of(op)});
           break;
         }
         case workload::OpType::kWrite: {
           // Reads-before-writes: record the version we overwrite so the
           // verifier can detect write-write conflicts too.
-          uint64_t version = version_of(op.key);
+          uint64_t version = version_of(op);
           txn_rw.reads.push_back({op.key, version});
           txn_rw.writes.push_back({op.key, op.value});
           local_version[op.key] = version + 1;  // Buffered write.
@@ -159,8 +164,9 @@ void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
     }
     max_txn_compute = std::max(max_txn_compute, txn_compute);
     // Batch-level union for the non-conflict fast path.
-    for (const auto& r : txn_rw.reads) rw.reads.push_back(r);
-    for (const auto& w : txn_rw.writes) rw.writes.push_back(w);
+    rw.reads.insert(rw.reads.end(), txn_rw.reads.begin(), txn_rw.reads.end());
+    rw.writes.insert(rw.writes.end(), txn_rw.writes.begin(),
+                     txn_rw.writes.end());
     txn_rws.push_back(std::move(txn_rw));
   }
   compute += max_txn_compute;
@@ -180,28 +186,30 @@ void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
       Finish();  // Omission fault: never report.
       return;
     }
-    SendVerify(rw, txn_rws, result);
+    SendVerify(std::move(rw), std::move(txn_rws), std::move(result));
   });
 }
 
-void ExecutorFunction::SendVerify(const storage::RwSet& rw,
-                                  const std::vector<storage::RwSet>& txn_rws,
-                                  const Bytes& result) {
+void ExecutorFunction::SendVerify(storage::RwSet rw,
+                                  std::vector<storage::RwSet> txn_rws,
+                                  Bytes result) {
   auto verify = std::make_shared<shim::VerifyMsg>(id());
   verify->view = work_->view;
   verify->seq = work_->seq;
   verify->batch_digest = work_->digest;
   verify->cert = work_->cert;
-  verify->rw = rw;
-  verify->txn_rws = txn_rws;
-  verify->result = result;
+  verify->rw = std::move(rw);
+  verify->txn_rws = std::move(txn_rws);
+  verify->result = std::move(result);
+  verify->txn_refs.reserve(work_->batch->txns.size());
   for (const workload::Transaction& txn : work_->batch->txns) {
     verify->txn_refs.push_back(
         {txn.id, txn.client, txn.global_id, txn.coordinator});
   }
   verify->executor_sig = keys_->Sign(
       id(), shim::VerifyMsg::SigningBytes(work_->view, work_->seq,
-                                          work_->digest, rw, result));
+                                          work_->digest, verify->rw,
+                                          verify->result));
   int copies = behavior_ == ExecutorBehavior::kDuplicateVerify ? 4 : 1;
   for (int i = 0; i < copies; ++i) {
     net_->Send(id(), verifier_, verify, verify->WireSize());

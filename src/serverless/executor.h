@@ -70,9 +70,8 @@ class ExecutorFunction : public sim::Actor {
  private:
   void FetchReadSet();
   void Execute(const shim::StorageReadReplyMsg& reply);
-  void SendVerify(const storage::RwSet& rw,
-                  const std::vector<storage::RwSet>& txn_rws,
-                  const Bytes& result);
+  void SendVerify(storage::RwSet rw, std::vector<storage::RwSet> txn_rws,
+                  Bytes result);
   void Finish();
 
   std::shared_ptr<const shim::ExecuteMsg> work_;

@@ -39,9 +39,12 @@ void LinearBftReplica::OnMessage(const sim::Envelope& env) {
   const auto* base = static_cast<const Message*>(env.message.get());
   if (base == nullptr) return;
   switch (base->kind) {
-    case MsgKind::kClientRequest:
-      HandleClientRequest(env);
+    case MsgKind::kClientRequest: {
+      const auto* msg =
+          MessageAs<ClientRequestMsg>(env, MsgKind::kClientRequest);
+      if (msg != nullptr) HandleClientRequest(env, *msg, /*verified=*/false);
       break;
+    }
     case MsgKind::kPrePrepare:
       HandlePrePrepare(env);
       break;
@@ -76,24 +79,40 @@ void LinearBftReplica::OnMessage(const sim::Envelope& env) {
   }
 }
 
+void LinearBftReplica::OnMessageBatch(const std::vector<sim::Envelope>& batch) {
+  if (Crashed()) return;
+  // One verification for the whole job; when it fails, each request is
+  // verified on its own in HandleClientRequest and only the forged ones
+  // are dropped.
+  const VerifiedClientRequests checked =
+      BatchVerifyClientRequests(*keys_, batch);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (checked.requests[i] == nullptr) {
+      OnMessage(batch[i]);
+    } else {
+      HandleClientRequest(batch[i], *checked.requests[i], checked.verified);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Batching (same policy as PbftReplica).
 // ---------------------------------------------------------------------------
 
-void LinearBftReplica::HandleClientRequest(const sim::Envelope& env) {
-  const auto* msg = MessageAs<ClientRequestMsg>(env, MsgKind::kClientRequest);
-  if (msg == nullptr) return;
-  if (!keys_->Verify(msg->txn.client,
-                     ClientRequestMsg::SigningBytes(msg->txn),
-                     msg->client_sig)) {
+void LinearBftReplica::HandleClientRequest(const sim::Envelope& env,
+                                           const ClientRequestMsg& msg,
+                                           bool verified) {
+  if (!verified &&
+      !keys_->Verify(msg.txn.client, ClientRequestMsg::SigningBytes(msg.txn),
+                     msg.client_sig)) {
     return;
   }
   if (!IsPrimary()) {
-    net_->Send(id(), PrimaryOf(view_), env.message, msg->WireSize());
+    net_->Send(id(), PrimaryOf(view_), env.message, msg.WireSize());
     return;
   }
   if (behavior_.byzantine && behavior_.suppress_requests) return;
-  SubmitTransaction(msg->txn);
+  SubmitTransaction(msg.txn);
 }
 
 void LinearBftReplica::SubmitTransaction(const workload::Transaction& txn) {

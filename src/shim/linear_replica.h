@@ -46,6 +46,11 @@ class LinearBftReplica : public sim::Actor {
                    ByzantineBehavior behavior = {});
 
   void OnMessage(const sim::Envelope& env) override;
+  /// A merged CPU job of client requests (DESIGN.md §13): one batch
+  /// verification over their signatures, then each request in arrival
+  /// order. A failed batch falls back to per-request verification, so a
+  /// forged request rejects only itself.
+  void OnMessageBatch(const std::vector<sim::Envelope>& batch) override;
 
   void SetCommitCallback(CommitCallback cb) { commit_cb_ = std::move(cb); }
   void SetRespawnCallback(RespawnCallback cb) { respawn_cb_ = std::move(cb); }
@@ -89,7 +94,10 @@ class LinearBftReplica : public sim::Actor {
     sim::EventId request_timer = 0;
   };
 
-  void HandleClientRequest(const sim::Envelope& env);
+  /// `verified`: the client signature already passed a batch
+  /// verification; otherwise it is verified here.
+  void HandleClientRequest(const sim::Envelope& env,
+                           const ClientRequestMsg& msg, bool verified);
   void HandlePrePrepare(const sim::Envelope& env);
   void HandleVote(const sim::Envelope& env);
   void HandleCert(const sim::Envelope& env);

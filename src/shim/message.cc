@@ -164,6 +164,26 @@ Bytes ClientRequestMsg::SigningBytes(const workload::Transaction& txn) {
   return enc.TakeBuffer();
 }
 
+VerifiedClientRequests BatchVerifyClientRequests(
+    const crypto::KeyRegistry& keys, const std::vector<sim::Envelope>& batch) {
+  VerifiedClientRequests out;
+  out.requests.resize(batch.size());
+  std::vector<Bytes> signing_bytes(batch.size());
+  std::vector<crypto::KeyRegistry::BatchItem> items;
+  items.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const auto* request =
+        MessageAs<ClientRequestMsg>(batch[i], MsgKind::kClientRequest);
+    if (request == nullptr) continue;
+    out.requests[i] = request;
+    signing_bytes[i] = ClientRequestMsg::SigningBytes(request->txn);
+    items.push_back(
+        {request->txn.client, &signing_bytes[i], &request->client_sig});
+  }
+  out.verified = keys.BatchVerify(items);
+  return out;
+}
+
 size_t ClientRequestMsg::PayloadWireBytes() const {
   return txn.WireSize() + SizedLen(client_sig.size());
 }

@@ -143,6 +143,28 @@ struct ClientRequestMsg : Message {
   void BuildWire(Encoder* enc) const override;
 };
 
+/// ServerResource job class of DS-signed client requests: the delivery
+/// cost hooks of the shim and the 2PC coordinator tag them so that
+/// requests queued behind a busy CPU coalesce into one job (DESIGN.md
+/// §13).
+inline constexpr uint32_t kClientRequestJobClass = 1;
+
+/// The client requests of one merged CPU job after one batch
+/// verification of their signatures.
+struct VerifiedClientRequests {
+  /// Per envelope of the job, in arrival order; null for an envelope
+  /// that is not a client request.
+  std::vector<const ClientRequestMsg*> requests;
+  /// Every signature in the job verified. When false, at least one is
+  /// forged and each request must be verified on its own.
+  bool verified = false;
+};
+
+/// Runs one KeyRegistry::BatchVerify over the client signatures of a
+/// merged job (Actor::OnMessageBatch).
+VerifiedClientRequests BatchVerifyClientRequests(
+    const crypto::KeyRegistry& keys, const std::vector<sim::Envelope>& batch);
+
 /// Primary -> nodes: PREPREPARE(⟨T⟩C, ∆, k), MAC-authenticated
 /// (Fig. 3 line 6).
 struct PrePrepareMsg : Message {

@@ -50,9 +50,12 @@ void PbftReplica::OnMessage(const sim::Envelope& env) {
   const auto* base = static_cast<const Message*>(env.message.get());
   if (base == nullptr) return;
   switch (base->kind) {
-    case MsgKind::kClientRequest:
-      HandleClientRequest(env);
+    case MsgKind::kClientRequest: {
+      const auto* msg =
+          MessageAs<ClientRequestMsg>(env, MsgKind::kClientRequest);
+      if (msg != nullptr) HandleClientRequest(env, *msg, /*verified=*/false);
       break;
+    }
     case MsgKind::kPrePrepare:
       HandlePrePrepare(env);
       break;
@@ -90,30 +93,46 @@ void PbftReplica::OnMessage(const sim::Envelope& env) {
   }
 }
 
+void PbftReplica::OnMessageBatch(const std::vector<sim::Envelope>& batch) {
+  if (Crashed()) return;
+  // One verification for the whole job; when it fails, each request is
+  // verified on its own in HandleClientRequest and only the forged ones
+  // are dropped.
+  const VerifiedClientRequests checked =
+      BatchVerifyClientRequests(*keys_, batch);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (checked.requests[i] == nullptr) {
+      OnMessage(batch[i]);
+    } else {
+      HandleClientRequest(batch[i], *checked.requests[i], checked.verified);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Client requests and batching (primary).
 // ---------------------------------------------------------------------------
 
-void PbftReplica::HandleClientRequest(const sim::Envelope& env) {
-  const auto* msg = MessageAs<ClientRequestMsg>(env, MsgKind::kClientRequest);
-  if (msg == nullptr) return;
+void PbftReplica::HandleClientRequest(const sim::Envelope& env,
+                                      const ClientRequestMsg& msg,
+                                      bool verified) {
   // Well-formedness: the client's DS must verify (Fig. 3 "P checks if
   // ⟨T⟩C is well-formed").
-  if (!keys_->Verify(msg->txn.client,
-                     ClientRequestMsg::SigningBytes(msg->txn),
-                     msg->client_sig)) {
+  if (!verified &&
+      !keys_->Verify(msg.txn.client, ClientRequestMsg::SigningBytes(msg.txn),
+                     msg.client_sig)) {
     return;
   }
   if (!IsPrimary()) {
     // Forward to the current primary (clients may briefly lag a view
     // change).
-    net_->Send(id(), PrimaryOf(view_), env.message, msg->WireSize());
+    net_->Send(id(), PrimaryOf(view_), env.message, msg.WireSize());
     return;
   }
   if (behavior_.byzantine && behavior_.suppress_requests) {
     return;  // §V-A request-ignorance attack.
   }
-  SubmitTransaction(msg->txn);
+  SubmitTransaction(msg.txn);
 }
 
 void PbftReplica::SubmitTransaction(const workload::Transaction& txn) {
@@ -141,11 +160,12 @@ void PbftReplica::ScheduleBatchFlush() {
 
 void PbftReplica::MaybeProposeBatch() {
   if (Crashed() || !IsPrimary() || in_view_change_) return;
-  // Pipeline bound (§VI-A concurrent consensus): count in-flight slots.
-  size_t inflight = 0;
-  for (const auto& [seq, slot] : slots_) {
-    if (!slot.committed) ++inflight;
-  }
+  // Pipeline bound (§VI-A concurrent consensus): in-flight slots.
+  assert(uncommitted_slots_ ==
+         static_cast<size_t>(std::count_if(
+             slots_.begin(), slots_.end(),
+             [](const auto& entry) { return !entry.second.committed; })));
+  size_t inflight = uncommitted_slots_;
   while (pending_.size() >= config_.batch_size &&
          inflight < config_.pipeline_width) {
     workload::TransactionBatch batch;
@@ -215,7 +235,17 @@ void PbftReplica::ProposeBatch(workload::TransactionBatch batch) {
 // Three-phase consensus.
 // ---------------------------------------------------------------------------
 
-PbftReplica::Slot& PbftReplica::GetSlot(SeqNum seq) { return slots_[seq]; }
+PbftReplica::Slot& PbftReplica::GetSlot(SeqNum seq) {
+  auto [it, inserted] = slots_.try_emplace(seq);
+  if (inserted) ++uncommitted_slots_;
+  return it->second;
+}
+
+void PbftReplica::MarkCommitted(Slot& slot) {
+  assert(!slot.committed);
+  slot.committed = true;
+  --uncommitted_slots_;
+}
 
 void PbftReplica::HandlePrePrepare(const sim::Envelope& env) {
   const auto* msg = MessageAs<PrePrepareMsg>(env, MsgKind::kPrePrepare);
@@ -310,7 +340,7 @@ void PbftReplica::TryCommit(SeqNum seq) {
   Slot& slot = GetSlot(seq);
   if (slot.committed || !slot.prepared) return;
   if (slot.commit_sigs.size() < config_.quorum()) return;
-  slot.committed = true;
+  MarkCommitted(slot);
 
   // Assemble the commit certificate C (Fig. 3 line 8).
   slot.cert.view = slot.view;
@@ -775,7 +805,7 @@ void PbftReplica::AdoptCertificate(const crypto::CompactCertificate& cert,
   slot.batch = proof.batch;
   slot.have_preprepare = true;
   slot.prepared = true;
-  slot.committed = true;
+  MarkCommitted(slot);
   slot.cert.view = cert.view;
   slot.cert.seq = cert.seq;
   slot.cert.digest = cert.digest;

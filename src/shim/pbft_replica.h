@@ -52,6 +52,11 @@ class PbftReplica : public sim::Actor {
               ByzantineBehavior behavior = {});
 
   void OnMessage(const sim::Envelope& env) override;
+  /// A merged CPU job of client requests (DESIGN.md §13): one batch
+  /// verification over their signatures, then each request in arrival
+  /// order. A failed batch falls back to per-request verification, so a
+  /// forged request rejects only itself.
+  void OnMessageBatch(const std::vector<sim::Envelope>& batch) override;
 
   void SetCommitCallback(CommitCallback cb) { commit_cb_ = std::move(cb); }
   void SetRespawnCallback(RespawnCallback cb) { respawn_cb_ = std::move(cb); }
@@ -110,7 +115,10 @@ class PbftReplica : public sim::Actor {
   };
 
   // --- message handlers ---
-  void HandleClientRequest(const sim::Envelope& env);
+  /// `verified`: the client signature already passed a batch
+  /// verification; otherwise it is verified here.
+  void HandleClientRequest(const sim::Envelope& env,
+                           const ClientRequestMsg& msg, bool verified);
   void HandlePrePrepare(const sim::Envelope& env);
   void HandlePrepare(const sim::Envelope& env);
   void HandleCommit(const sim::Envelope& env);
@@ -127,7 +135,11 @@ class PbftReplica : public sim::Actor {
   void ScheduleBatchFlush();
 
   // --- consensus helpers ---
+  /// The slot of `seq`, created uncommitted if absent. Slots are created
+  /// only here and committed only through MarkCommitted, which keeps
+  /// uncommitted_slots_ exact.
   Slot& GetSlot(SeqNum seq);
+  void MarkCommitted(Slot& slot);
   void TryPrepare(SeqNum seq);
   void TryCommit(SeqNum seq);
   void OnCommitted(SeqNum seq);
@@ -168,6 +180,9 @@ class PbftReplica : public sim::Actor {
   SeqNum next_seq_ = 1;         // Next sequence the primary assigns.
   SeqNum stable_seq_ = 0;       // Last checkpoint-stable sequence.
   std::map<SeqNum, Slot> slots_;
+  /// Slots in slots_ not yet committed (checkpoint pruning erases only
+  /// committed ones): the pipeline's in-flight count.
+  size_t uncommitted_slots_ = 0;
 
   // Primary batching.
   std::deque<workload::Transaction> pending_;
