@@ -261,6 +261,14 @@ void ShardPlane::BuildCloudAndSpawner() {
   spawner_->SetPrepareLockView(verifier_->prepare_lock_table());
   verifier_->SetLockReleaseCallback(
       [this]() { spawner_->OnPrepareLocksReleased(); });
+  // Per-batch state ends where the verifier stops reading it (DESIGN.md
+  // §14): EXECUTE payloads once no kGap ERROR can name their sequence,
+  // executor keys once their sequence is settled.
+  spawner_->SetGapView(
+      [this](SeqNum seq) { return verifier_->GapMayName(seq); });
+  verifier_->SetSeqRetiredCallback(
+      [this](SeqNum seq) { spawner_->OnSeqRetired(seq); });
+  cloud_->SetSettledCursor([this]() { return verifier_->kmax(); });
 }
 
 void ShardPlane::WireCommitCallbacks() {

@@ -63,19 +63,24 @@ void Spawner::OnCommit(ActorId node, bool is_primary,
   const shim::ByzantineBehavior& behavior =
       override_it != behavior_overrides_.end() ? override_it->second
                                                : configured_behavior;
+  uint32_t count = ExecutorsForNode(is_primary);
   // Record the EXECUTE payload on every node's commit so a *new* primary
   // can satisfy respawn requests for sequences the old primary spawned
-  // short (§V-A recovery).
-  if (!recent_work_.contains(seq)) {
-    recent_work_[seq] = BuildWork(node, seq, view, batch, cert);
-    if (recent_work_.size() > 4096) {
-      recent_work_.erase(recent_work_.begin());
-    }
+  // short (§V-A recovery) — unless the verifier already retired the
+  // sequence, when no respawn can name it any more. A commit landing
+  // after retirement (a new primary re-committing the sequence after a
+  // view change) spawns from its own payload.
+  std::shared_ptr<const shim::ExecuteMsg> work;
+  auto it = recent_work_.find(seq);
+  if (it != recent_work_.end()) {
+    work = it->second;
+  } else {
+    bool retain = !gap_may_name_ || gap_may_name_(seq);
+    if (!retain && count == 0) return;
+    work = BuildWork(node, seq, view, batch, cert);
+    if (retain) recent_work_.emplace(seq, work);
   }
-  uint32_t count = ExecutorsForNode(is_primary);
   if (count == 0) return;
-
-  std::shared_ptr<const shim::ExecuteMsg> work = recent_work_[seq];
 
   // §VI-C best-effort conflict avoidance (primary-only, known rw sets):
   // admit batches to the lock stage in sequence order.

@@ -1,7 +1,7 @@
 #ifndef SBFT_CORE_SPAWNER_H_
 #define SBFT_CORE_SPAWNER_H_
 
-#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -47,6 +47,17 @@ class Spawner {
   /// Verifier RESPONSE reached the primary: release §VI-C locks.
   void OnResponse(SeqNum seq);
 
+  /// The verifier's view of which sequences a kGap ERROR can still name
+  /// (Verifier::GapMayName). EXECUTE payloads are kept for respawns only
+  /// while it answers true; unset, every payload is kept.
+  void SetGapView(std::function<bool(SeqNum)> gap_may_name) {
+    gap_may_name_ = std::move(gap_may_name);
+  }
+
+  /// The verifier retired `seq` (no respawn can name it any more): drop
+  /// its EXECUTE payload.
+  void OnSeqRetired(SeqNum seq) { recent_work_.erase(seq); }
+
   /// Read-only view of the verifier's 2PC prepare locks (the shared
   /// LockTable). When set, the conflict-avoidance stage also holds back
   /// batches whose keys collide with in-flight cross-shard fragments —
@@ -83,6 +94,8 @@ class Spawner {
     return batches_held_on_prepare_locks_;
   }
   size_t locked_keys() const { return lock_stage_.size(); }
+  /// EXECUTE payloads held for respawns (sequences not yet retired).
+  size_t retained_work() const { return recent_work_.size(); }
 
  private:
   struct QueuedBatch {
@@ -136,8 +149,11 @@ class Spawner {
   std::vector<sim::RegionId> regions_;
   size_t next_region_ = 0;
 
-  // Recent EXECUTE payloads for respawn requests (bounded).
-  std::map<SeqNum, std::shared_ptr<const shim::ExecuteMsg>> recent_work_;
+  // EXECUTE payloads for respawn requests, until the verifier retires
+  // their sequence.
+  std::unordered_map<SeqNum, std::shared_ptr<const shim::ExecuteMsg>>
+      recent_work_;
+  std::function<bool(SeqNum)> gap_may_name_;
 
   // Runtime byzantine-spawning overrides (fault engine), by node id.
   std::unordered_map<ActorId, shim::ByzantineBehavior> behavior_overrides_;

@@ -18,8 +18,10 @@ Status Signature::DecodeFrom(Decoder* dec, Signature* out) {
 }
 
 Bytes CommitSigningBytes(ViewNum view, SeqNum seq, const Digest& digest) {
+  constexpr std::string_view kTag = "sbft-commit";
   Encoder enc;
-  enc.PutString("sbft-commit");
+  enc.Reserve(SizedLen(kTag.size()) + 8 + 8 + Digest::kSize);
+  enc.PutString(kTag);
   enc.PutU64(view);
   enc.PutU64(seq);
   enc.PutRaw(digest.data(), Digest::kSize);

@@ -74,6 +74,18 @@ void KeyRegistry::RegisterNode(ActorId id) {
   nodes_.emplace(id, std::move(keys));
 }
 
+void KeyRegistry::Unregister(ActorId id) {
+  std::unique_lock<std::shared_mutex> lock;
+  if (concurrent_) lock = std::unique_lock(mu_);
+  nodes_.erase(id);
+}
+
+size_t KeyRegistry::size() const {
+  std::shared_lock<std::shared_mutex> lock;
+  if (concurrent_) lock = std::shared_lock(mu_);
+  return nodes_.size();
+}
+
 bool KeyRegistry::IsRegistered(ActorId id) const {
   if (concurrent_) {
     std::shared_lock lock(mu_);

@@ -64,8 +64,18 @@ class KeyRegistry {
   /// every golden digest) is untouched when this is never called.
   void EnableConcurrent();
 
+  /// Drops the key material of `id`, for an actor whose signatures are
+  /// never produced or checked again (a finished executor whose sequence
+  /// the verifier has settled). Draws nothing from the rng, so later
+  /// registrations are unaffected; an unregistered id must never be
+  /// registered again.
+  void Unregister(ActorId id);
+
   /// True when `id` has been registered.
   bool IsRegistered(ActorId id) const;
+
+  /// Number of actors holding key material.
+  size_t size() const;
 
   /// Digital signature by `signer` over `msg`. Deterministic (same inputs
   /// produce the same bytes). Requires `signer` registered.
@@ -123,8 +133,9 @@ class KeyRegistry {
   const Bytes& MacKey(ActorId a, ActorId b) const;
   const NodeKeys& KeysFor(ActorId id) const;
   /// Lookup that tolerates unknown ids (Verify paths); locked when
-  /// concurrent_. The returned pointer stays valid — the node map never
-  /// erases.
+  /// concurrent_. The returned pointer stays valid while the lookup's
+  /// caller runs: the map is node-based, and Unregister only erases
+  /// retired executors, whose keys nobody reads any more.
   const NodeKeys* FindKeys(ActorId id) const;
 
   CryptoMode mode_;

@@ -13,13 +13,15 @@ std::string ScenarioReport::OneLine() const {
   std::snprintf(buf, sizeof(buf),
                 "completed=%-6llu aborted=%-4llu view-changes=%-3llu "
                 "retrans=%-4llu lat(p50=%.1fms p99=%.1fms) audit=%s "
-                "digest=%.16s",
+                "digest=%.16s work=%-3llu keys=%llu",
                 static_cast<unsigned long long>(completed_txns),
                 static_cast<unsigned long long>(aborted_txns),
                 static_cast<unsigned long long>(view_changes),
                 static_cast<unsigned long long>(client_retransmissions),
                 latency_p50_ms, latency_p99_ms,
-                audit_chain_ok ? "ok" : "BROKEN", commit_digest.c_str());
+                audit_chain_ok ? "ok" : "BROKEN", commit_digest.c_str(),
+                static_cast<unsigned long long>(retained_work),
+                static_cast<unsigned long long>(registry_keys));
   return buf;
 }
 
@@ -71,7 +73,9 @@ Result<ScenarioReport> RunScenario(const Scenario& scenario) {
   for (uint32_t s = 0; s < arch.shard_count(); ++s) {
     report.executors_spawned += arch.plane(s)->spawner()->executors_spawned();
     report.executors_killed += arch.plane(s)->cloud()->executors_killed();
+    report.retained_work += arch.plane(s)->spawner()->retained_work();
   }
+  report.registry_keys = arch.keys()->size();
   report.messages_dropped = arch.network()->messages_dropped();
   report.fault_events_applied = controller.events_applied();
   const Histogram latency = arch.MergedLatency();

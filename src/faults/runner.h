@@ -29,6 +29,11 @@ struct ScenarioReport {
   uint64_t executors_killed = 0;
   uint64_t messages_dropped = 0;
   uint64_t fault_events_applied = 0;
+  /// Per-batch state held at the end of the run (DESIGN.md §14): EXECUTE
+  /// payloads kept for respawns, summed over planes, and actors holding
+  /// key material. Both are bounded by in-flight work, not run length.
+  uint64_t retained_work = 0;
+  uint64_t registry_keys = 0;
 
   double latency_p50_ms = 0;
   double latency_p99_ms = 0;

@@ -37,6 +37,7 @@ ActorId CloudSimulator::Spawn(sim::RegionId region,
 
   Instance instance;
   instance.region = region;
+  instance.seq = work->seq;
   instance.started_at = sim_->now();
   instance.cpu =
       std::make_unique<sim::ServerResource>(sim_, config_.executor_cores);
@@ -77,6 +78,7 @@ size_t CloudSimulator::KillAllExecutors() {
     instance.killed = true;
     instance.function->Kill();
     net_->Unregister(id);
+    RetireKeys(instance.seq, id);
     --active_;
     ++killed;
     // The instance object stays alive until teardown: its ServerResource
@@ -97,10 +99,21 @@ void CloudSimulator::OnExecutorDone(ActorId id) {
   ++warm_available_[it->second.region];  // Container stays warm.
   --active_;
   net_->Unregister(id);
+  RetireKeys(it->second.seq, id);
 
   // Defer the actual destruction: the completion callback may be running
   // inside the executor's own call stack.
   sim_->Schedule(0, [this, id]() { instances_.erase(id); });
+}
+
+void CloudSimulator::RetireKeys(SeqNum seq, ActorId id) {
+  if (!settled_cursor_) return;
+  unsettled_keys_.emplace(seq, id);
+  SeqNum kmax = settled_cursor_();
+  while (!unsettled_keys_.empty() && unsettled_keys_.top().first < kmax) {
+    keys_->Unregister(unsettled_keys_.top().second);
+    unsettled_keys_.pop();
+  }
 }
 
 }  // namespace sbft::serverless

@@ -1,8 +1,11 @@
 #ifndef SBFT_SERVERLESS_CLOUD_H_
 #define SBFT_SERVERLESS_CLOUD_H_
 
+#include <functional>
 #include <memory>
+#include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "serverless/billing.h"
@@ -80,6 +83,14 @@ class CloudSimulator {
     extra_start_latency_ = extra < 0 ? 0 : extra;
   }
 
+  /// The plane verifier's k_max. A VERIFY for a sequence below it is
+  /// dropped before its signature is checked, so an executor that has
+  /// stopped signing (finished or killed) and whose sequence is below it
+  /// gives its keys back to the registry. Unset, keys are kept.
+  void SetSettledCursor(std::function<SeqNum()> kmax) {
+    settled_cursor_ = std::move(kmax);
+  }
+
   uint64_t executors_killed() const { return executors_killed_; }
 
   /// Total spawn API calls (accepted + throttled).
@@ -97,11 +108,15 @@ class CloudSimulator {
     std::unique_ptr<ExecutorFunction> function;
     std::unique_ptr<sim::ServerResource> cpu;
     sim::RegionId region;
+    SeqNum seq = 0;
     SimTime started_at;
     bool killed = false;  // Crash-stopped by the fault engine.
   };
 
   void OnExecutorDone(ActorId id);
+  /// Queues a silent executor's keys and unregisters every queued one
+  /// whose sequence is below the settled cursor.
+  void RetireKeys(SeqNum seq, ActorId id);
 
   sim::Simulator* sim_;
   sim::Network* net_;
@@ -112,6 +127,12 @@ class CloudSimulator {
 
   std::unordered_map<ActorId, Instance> instances_;
   std::unordered_map<sim::RegionId, int> warm_available_;
+  std::function<SeqNum()> settled_cursor_;
+  /// Silent executors whose sequence is not yet settled, lowest first.
+  std::priority_queue<std::pair<SeqNum, ActorId>,
+                      std::vector<std::pair<SeqNum, ActorId>>,
+                      std::greater<>>
+      unsettled_keys_;
   int active_ = 0;
   bool spawns_suspended_ = false;
   SimDuration extra_start_latency_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "common/logging.h"
 
@@ -131,7 +132,9 @@ void LinearBftReplica::ScheduleBatchFlush() {
     }
     size_t take = std::min(pending_.size(), config_.batch_size);
     workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(), pending_.begin() + take);
+    batch.txns.assign(
+        std::make_move_iterator(pending_.begin()),
+        std::make_move_iterator(pending_.begin() + take));
     pending_.erase(pending_.begin(), pending_.begin() + take);
     ProposeBatch(std::move(batch));
     MaybeProposeBatch();
@@ -147,7 +150,9 @@ void LinearBftReplica::MaybeProposeBatch() {
   while (pending_.size() >= config_.batch_size &&
          inflight < config_.pipeline_width) {
     workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(), pending_.begin() + config_.batch_size);
+    batch.txns.assign(
+        std::make_move_iterator(pending_.begin()),
+        std::make_move_iterator(pending_.begin() + config_.batch_size));
     pending_.erase(pending_.begin(), pending_.begin() + config_.batch_size);
     ProposeBatch(std::move(batch));
     ++inflight;

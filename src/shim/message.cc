@@ -158,8 +158,10 @@ const crypto::Digest& Message::WireDigest() const {
 }
 
 Bytes ClientRequestMsg::SigningBytes(const workload::Transaction& txn) {
+  constexpr std::string_view kTag = "sbft-client-request";
   Encoder enc;
-  enc.PutString("sbft-client-request");
+  enc.Reserve(SizedLen(kTag.size()) + txn.WireSize());
+  enc.PutString(kTag);
   txn.EncodeTo(&enc);
   return enc.TakeBuffer();
 }

@@ -1,6 +1,7 @@
 #include "shim/paxos_replica.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace sbft::shim {
 
@@ -116,7 +117,9 @@ void MultiPaxosReplica::ScheduleBatchFlush() {
     }
     size_t take = std::min(pending_.size(), config_.batch_size);
     workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(), pending_.begin() + take);
+    batch.txns.assign(
+        std::make_move_iterator(pending_.begin()),
+        std::make_move_iterator(pending_.begin() + take));
     pending_.erase(pending_.begin(), pending_.begin() + take);
     ProposeBatch(std::move(batch));
     MaybeProposeBatch();
@@ -132,7 +135,9 @@ void MultiPaxosReplica::MaybeProposeBatch() {
   while (pending_.size() >= config_.batch_size &&
          inflight < config_.pipeline_width) {
     workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(), pending_.begin() + config_.batch_size);
+    batch.txns.assign(
+        std::make_move_iterator(pending_.begin()),
+        std::make_move_iterator(pending_.begin() + config_.batch_size));
     pending_.erase(pending_.begin(), pending_.begin() + config_.batch_size);
     ProposeBatch(std::move(batch));
     ++inflight;
@@ -415,7 +420,9 @@ void NoShimCoordinator::ScheduleBatchFlush() {
     if (pending_.empty()) return;
     size_t take = std::min(pending_.size(), config_.batch_size);
     workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(), pending_.begin() + take);
+    batch.txns.assign(
+        std::make_move_iterator(pending_.begin()),
+        std::make_move_iterator(pending_.begin() + take));
     pending_.erase(pending_.begin(), pending_.begin() + take);
     Emit(std::move(batch));
     MaybeFlush();
@@ -425,7 +432,9 @@ void NoShimCoordinator::ScheduleBatchFlush() {
 void NoShimCoordinator::MaybeFlush() {
   while (pending_.size() >= config_.batch_size) {
     workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(), pending_.begin() + config_.batch_size);
+    batch.txns.assign(
+        std::make_move_iterator(pending_.begin()),
+        std::make_move_iterator(pending_.begin() + config_.batch_size));
     pending_.erase(pending_.begin(), pending_.begin() + config_.batch_size);
     Emit(std::move(batch));
   }

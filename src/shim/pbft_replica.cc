@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "common/logging.h"
 #include "crypto/merkle.h"
@@ -151,7 +152,9 @@ void PbftReplica::ScheduleBatchFlush() {
     }
     size_t take = std::min(pending_.size(), config_.batch_size);
     workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(), pending_.begin() + take);
+    batch.txns.assign(
+        std::make_move_iterator(pending_.begin()),
+        std::make_move_iterator(pending_.begin() + take));
     pending_.erase(pending_.begin(), pending_.begin() + take);
     ProposeBatch(std::move(batch));
     MaybeProposeBatch();
@@ -169,8 +172,9 @@ void PbftReplica::MaybeProposeBatch() {
   while (pending_.size() >= config_.batch_size &&
          inflight < config_.pipeline_width) {
     workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(),
-                      pending_.begin() + config_.batch_size);
+    batch.txns.assign(
+        std::make_move_iterator(pending_.begin()),
+        std::make_move_iterator(pending_.begin() + config_.batch_size));
     pending_.erase(pending_.begin(),
                    pending_.begin() + config_.batch_size);
     ProposeBatch(std::move(batch));
@@ -373,7 +377,6 @@ void PbftReplica::OnCommitted(SeqNum seq) {
   }
   ++committed_batches_;
   committed_txns_ += slot.batch->txns.size();
-  cert_log_.push_back(slot.digest);
   if (commit_cb_) {
     commit_cb_(seq, slot.view, slot.batch, slot.cert);
   }

@@ -102,6 +102,7 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
   for (const auto& ref : msg->txn_refs) {
     TxnRecord& rec = txn_records_[ref.id];
     if (!rec.responded) {
+      if (rec.seq != seq && !rec.decided) MoveUnanswered(rec.seq, seq);
       rec.seq = seq;
       rec.client = ref.client;
     }
@@ -173,6 +174,9 @@ void Verifier::ProcessInOrder() {
     Settle(kmax_, state);
     pending_.erase(it);
     ++kmax_;
+    if (!unanswered_.contains(kmax_ - 1) && seq_retired_callback_) {
+      seq_retired_callback_(kmax_ - 1);
+    }
     MaybeSendAcks();
   }
 }
@@ -403,8 +407,10 @@ bool Verifier::PrepareFragment(SeqNum seq,
   // at most once and never re-apply after a decision.
   auto dup = prepared_.find(gid);
   if (dup != prepared_.end()) return dup->second.vote_commit;
-  if (applied_global_.contains(gid)) return true;
-  if (aborted_global_.contains(gid)) return false;
+  if (applied_global_.contains(gid) || aborted_global_.contains(gid)) {
+    MarkDecided(ref.id);
+    return applied_global_.contains(gid);
+  }
   PreparedFragment frag;
   frag.rw = rw;
   frag.seq = seq;
@@ -598,6 +604,7 @@ void Verifier::ApplyDecision(TxnId global_id, bool commit, uint64_t cseq,
     ++twopc_aborted_;
   }
   RecordGlobalOutcome(global_id, apply, cseq);
+  MarkDecided(frag.ref.id);
   ScratchEncoder enc;
   enc->PutU64(global_id);
   decision_log_
@@ -805,6 +812,7 @@ void Verifier::SendOneResponse(const shim::VerifyMsg::TxnRef& ref, SeqNum seq,
   ++responses_sent_;
 
   TxnRecord& rec = txn_records_[ref.id];
+  if (!rec.responded && !rec.decided) MoveUnanswered(rec.seq, 0);
   rec.responded = true;
   rec.aborted = aborted;
   rec.seq = seq;
@@ -841,6 +849,24 @@ void Verifier::SendResponses(SeqNum seq, const shim::VerifyMsg& sample,
   // Notify the shim primary (Fig. 3 line 33) so it can release logical
   // locks (§VI-C step 4).
   NotifyPrimary(seq, sample.batch_digest, aborted);
+}
+
+void Verifier::MoveUnanswered(SeqNum from, SeqNum to) {
+  if (to != 0) ++unanswered_[to];
+  if (from == 0) return;
+  auto it = unanswered_.find(from);
+  if (it == unanswered_.end() || --it->second > 0) return;
+  unanswered_.erase(it);
+  if (from < kmax_ && seq_retired_callback_) seq_retired_callback_(from);
+}
+
+void Verifier::MarkDecided(TxnId txn) {
+  auto it = txn_records_.find(txn);
+  if (it == txn_records_.end()) return;
+  TxnRecord& rec = it->second;
+  if (rec.responded || rec.decided) return;
+  rec.decided = true;
+  MoveUnanswered(rec.seq, 0);
 }
 
 void Verifier::MaybeSendAcks() {

@@ -86,6 +86,19 @@ class Verifier : public sim::Actor {
   /// Sequence number of the next request to be verified (paper's k_max).
   SeqNum kmax() const { return kmax_; }
 
+  /// Whether a kGap ERROR can still name `seq`: it is unsettled (case
+  /// (ii) names k_max), or settled with a transaction still unanswered
+  /// (case (iii) names the record's sequence). Once false it stays false.
+  bool GapMayName(SeqNum seq) const {
+    return seq >= kmax_ || unanswered_.contains(seq);
+  }
+  /// Invoked once per sequence, when GapMayName turns false for it: no
+  /// respawn can be requested for it any more, so its EXECUTE payload
+  /// may be dropped (DESIGN.md §14).
+  void SetSeqRetiredCallback(std::function<void(SeqNum)> cb) {
+    seq_retired_callback_ = std::move(cb);
+  }
+
   const storage::AuditLog& audit_log() const { return audit_log_; }
 
   // --- statistics ---
@@ -186,6 +199,10 @@ class Verifier : public sim::Actor {
   struct TxnRecord {
     bool responded = false;
     bool aborted = false;
+    /// A cross-shard fragment whose 2PC decision is known here: its
+    /// client is answered by the coordinator, so it no longer holds its
+    /// sequence in unanswered_.
+    bool decided = false;
     SeqNum seq = 0;
     ActorId client = kInvalidActor;
   };
@@ -367,6 +384,11 @@ class Verifier : public sim::Actor {
   /// message's memoized serialization.
   void BroadcastToShim(const shim::MessagePtr& msg);
   void MaybeSendAcks();
+  /// Moves an unanswered record's sequence from `from` to `to` (0 = none)
+  /// in unanswered_, retiring `from` when that settles its last record.
+  void MoveUnanswered(SeqNum from, SeqNum to);
+  /// A fragment's decision is known at this shard (DESIGN.md §14).
+  void MarkDecided(TxnId txn);
 
   VerifierConfig config_;
   storage::KvStore* store_;
@@ -379,6 +401,11 @@ class Verifier : public sim::Actor {
   std::map<SeqNum, SeqState> pending_;  // Includes the π list (matched
                                         // entries waiting for k_max).
   std::unordered_map<TxnId, TxnRecord> txn_records_;
+  /// Unanswered transaction records per sequence (TxnRecord::seq of every
+  /// record neither responded nor decided); bounded by in-flight
+  /// transactions.
+  std::unordered_map<SeqNum, uint32_t> unanswered_;
+  std::function<void(SeqNum)> seq_retired_callback_;
   storage::AuditLog audit_log_;
   ViewNum last_seen_view_ = 0;  // For routing primary notifications.
 
