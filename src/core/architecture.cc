@@ -175,12 +175,9 @@ int Architecture::LoopOfActor(ActorId id) const {
 }
 
 void Architecture::BuildCoordinator() {
-  // Per-member construction below follows, for a 1x1 topology, the exact
-  // historical sequence (RegisterNode -> construct -> cpu -> Register ->
-  // AttachServer), so the singleton key-derivation and registration
-  // order — and thereby every golden digest — is unchanged. Group-major
-  // build order (all of group 0, then group 1, ...) keeps the G == 1
-  // replicated case identical to the pre-partitioning code too.
+  // Members are built group-major (all of group 0, then group 1, ...),
+  // each in the sequence RegisterNode -> construct -> cpu -> Register ->
+  // AttachServer; key derivation and registration order follow it.
   coord_topology_ =
       CoordGroups{config_.coordinator_groups, config_.coordinator_replicas};
   std::vector<ActorId> shard_verifiers;
@@ -265,7 +262,6 @@ ActorId Architecture::CurrentCoordinatorId(uint32_t group) const {
   uint32_t replicas = coord_topology_.replicas;
   size_t base = static_cast<size_t>(group) * replicas;
   if (base >= coordinators_.size()) return coordinators_[0]->id();
-  if (replicas == 1) return coordinators_[base]->id();
   // Nominal leader of the highest view any live member of the group
   // holds; if that member is itself down, any live member of the group
   // works (it forwards client requests and bounces redirects for

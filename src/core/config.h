@@ -146,14 +146,12 @@ struct SystemConfig {
   /// fully-decided watermark rides on every vote certificate and
   /// decision, bounding 2PC bookkeeping by in-flight transactions.
   SimDuration twopc_decision_retention = Seconds(5);
-  /// Size of the replicated coordinator group (DESIGN.md §10). 1 keeps
-  /// the original trusted-singleton coordinator and is the golden-digest
-  /// anchor: no group machinery runs, no group message ever hits the
-  /// wire, and the event stream is byte-identical to the pre-group code.
-  /// >1 instantiates `coordinator_replicas` TxnCoordinator members
-  /// (actor ids kCoordinatorBaseId + r) forming a CFT cluster that
-  /// quorum-replicates the 2PC decision log; a standby takes over
-  /// mid-2PC when the leader crashes.
+  /// Size of each coordinator group (DESIGN.md §10): R TxnCoordinator
+  /// members (actor ids kCoordinatorBaseId + r) forming a CFT cluster
+  /// that quorum-replicates the 2PC decision log; a standby takes over
+  /// mid-2PC when the leader crashes. 1 is a group of one: it runs the
+  /// same code with majority 1 and sends no group message, and a crash
+  /// stalls its gids until it recovers.
   uint32_t coordinator_replicas = 1;
   /// Number of independent coordinator groups the global-txn-id space
   /// is hash-partitioned over (DESIGN.md §12). 1 keeps today's single

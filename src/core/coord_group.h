@@ -9,7 +9,7 @@ namespace sbft::core {
 /// reserved for coordinator-group members (see shard_plane.h for the
 /// other id blocks). Member r of group g lives at
 /// kCoordinatorBaseId + g * replicas + r (group-major, see CoordGroups
-/// below); member (0, 0) is the historical singleton coordinator.
+/// below).
 /// Declared here so the shard plane and the verifier can compute member
 /// ids without depending on architecture.h.
 constexpr ActorId kCoordinatorBaseId = 890000;
@@ -18,32 +18,24 @@ constexpr ActorId kCoordinatorBaseId = 890000;
 ///
 /// The global-txn-id space is split by stable hash into `groups`
 /// independent coordinator groups; each group is an R-member CFT group
-/// (`replicas`) that quorum-replicates its own 2PC decision log, runs
-/// its own heartbeat/failover timers, and advances its own watermark.
+/// (`replicas`; R = 1 is a group of one, which runs the same code) that
+/// quorum-replicates its own 2PC decision log, runs its own
+/// heartbeat/failover timers, and advances its own watermark.
 /// Every piece of leader-resolution arithmetic — which group owns a
 /// gid, which actor id a (group, replica) pair maps to, which member
 /// leads a view — lives here, so the coordinator, the verifiers, the
 /// router, and the fault engine can never disagree about it.
 ///
 /// The member id layout is group-major inside the coordinator id block:
-/// member (g, r) = kCoordinatorBaseId + g * replicas + r. For
-/// groups == 1 this is exactly the historical layout (member r at
-/// kCoordinatorBaseId + r), which the golden-digest replay contract
-/// pins. Caps: groups <= 64 and replicas <= 9, so the whole topology
-/// (<= 576 actors) stays inside the reserved 1000-id block.
+/// member (g, r) = kCoordinatorBaseId + g * replicas + r. Caps:
+/// groups <= 64 and replicas <= 9, so the whole topology (<= 576
+/// actors) stays inside the reserved 1000-id block.
 struct CoordGroups {
   uint32_t groups = 1;
   uint32_t replicas = 1;
 
   /// Total coordinator actors in the topology.
   uint32_t total() const { return groups * replicas; }
-  /// More than one coordinator actor exists: per-group hint/ack state
-  /// and membership-based guards replace the singleton fast paths.
-  bool multi() const { return total() > 1; }
-  /// Groups are replicated (R > 1): views move, leaders announce
-  /// themselves via view stamps and redirects. With R == 1 every group
-  /// is a trusted singleton and no view machinery runs.
-  bool replicated() const { return replicas > 1; }
 
   /// Stable owner group of a global txn id: a pure function of the gid
   /// and the group count — independent of views, leaders, or time — so

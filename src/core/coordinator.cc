@@ -21,16 +21,15 @@ TxnCoordinator::TxnCoordinator(ActorId id,
       sim_(sim),
       net_(net),
       options_(options) {
-  if (GroupMode()) {
-    // Member 0 is the view-0 leader over an empty log, so it starts
-    // synced and heartbeating; everyone else arms the failure detector.
-    if (options_.group_index == 0) {
-      leader_synced_ = true;
-      SendHeartbeat();
-    } else {
-      last_leader_contact_ = sim_->now();
-      ArmFailoverTimer();
-    }
+  if (options_.group.empty()) options_.group = {id};
+  // Member 0 is the view-0 leader over an empty log, so it starts synced
+  // and heartbeating; everyone else arms the failure detector.
+  if (options_.group_index == 0) {
+    leader_synced_ = true;
+    SendHeartbeat();
+  } else {
+    last_leader_contact_ = sim_->now();
+    ArmFailoverTimer();
   }
 }
 
@@ -40,11 +39,10 @@ void TxnCoordinator::SetCrashed(bool crashed) {
   if (crashed_) {
     // Crash-stop: volatile state is gone the moment the process dies.
     // The watermark bookkeeping is volatile too — only the decision log,
-    // the cseq counter, and (group mode) the view number model stable
-    // storage. Unpruned entries whose ack state was lost simply stay in
-    // the log (the safe direction); the watermark itself re-advances
-    // over post-recovery decisions, whose cseqs exceed every pre-crash
-    // cseq.
+    // the cseq counter, and the view number model stable storage.
+    // Unpruned entries whose ack state was lost simply stay in the log
+    // (the safe direction); the watermark itself re-advances over
+    // post-recovery decisions, whose cseqs exceed every pre-crash cseq.
     for (auto& [gid, pending] : pending_) {
       if (pending.timer != 0) sim_->Cancel(pending.timer);
     }
@@ -73,19 +71,17 @@ void TxnCoordinator::SetCrashed(bool crashed) {
     }
     return;
   }
-  // Recovery keeps only the durable decision log (plus view/cseq); in
-  // singleton mode in-doubt transactions resolve through participant
-  // vote retries (answered from the log or presumed-abort). A group
+  // Recovery keeps only the durable decision log (plus view/cseq). The
   // member rejoins as a follower — or restarts takeover if it still
   // leads its (possibly stale) view; peers answer with their higher
-  // view and demote it.
-  if (GroupMode()) {
-    last_leader_contact_ = sim_->now();
-    if (GroupLeader() == id()) {
-      StartTakeover();
-    } else {
-      ArmFailoverTimer();
-    }
+  // view and demote it. A group of one is always that leader: its own
+  // vote completes the sync, so it serves again at once and redirects
+  // the verifiers' standing votes here.
+  last_leader_contact_ = sim_->now();
+  if (GroupLeader() == id()) {
+    StartTakeover();
+  } else {
+    ArmFailoverTimer();
   }
 }
 
@@ -160,7 +156,7 @@ void TxnCoordinator::ProcessClientRequest(const sim::MessagePtr& message,
       return;
     }
   }
-  if (GroupMode() && !IsGroupLeader()) {
+  if (!IsGroupLeader()) {
     // Follower: the client's (or router's) leader hint is stale —
     // forward the signed request as-is; the leader verifies it. Keep a
     // parked copy: if the presumed leader is already dead, the forward
@@ -173,7 +169,7 @@ void TxnCoordinator::ProcessClientRequest(const sim::MessagePtr& message,
   }
   // A mid-takeover leader serves nothing yet: park the request and
   // replay it from FinishTakeover.
-  if (GroupMode() && !leader_synced_) {
+  if (!leader_synced_) {
     StashRequest(message);
     return;
   }
@@ -186,10 +182,8 @@ void TxnCoordinator::ProcessClientRequest(const sim::MessagePtr& message,
   TxnId gid = msg.txn.id;
   auto decided = decisions_.find(gid);
   if (decided != decisions_.end()) {
-    // Client retransmission after a COMMIT whose response was lost:
-    // answer from the log. (A lost ABORT response instead falls through
-    // to a relaunch below — the shard verifiers' per-gid dedup turns it
-    // into a vote-timeout abort, converging on the same answer.)
+    // Client retransmission after a decision whose response was lost:
+    // answer from the log.
     RespondToClient(gid, msg.txn.client, decided->second.commit);
     return;
   }
@@ -278,16 +272,14 @@ void TxnCoordinator::LaunchTxn(const workload::Transaction& txn,
   pending.timer = sim_->Schedule(
       options_.vote_timeout, [this, gid]() { OnVoteTimeout(gid); });
   auto [it, inserted] = pending_.emplace(gid, std::move(pending));
-  if (GroupMode()) {
-    // Best-effort launch replication (no quorum, no ack): a standby can
-    // rebuild the pending record — client and participant set — and
-    // judge vote completeness after takeover. A lost launch degrades
-    // safely to presumed abort.
-    launches_[gid] = LaunchRecord{txn.client, it->second.shards};
-    BroadcastAppend(/*append_id=*/0, shim::CoordAppendMsg::kLaunch, gid,
-                    /*commit=*/false, /*cseq=*/0, /*proof=*/nullptr,
-                    txn.client, &it->second.shards);
-  }
+  // Best-effort launch replication (no quorum, no ack): a standby can
+  // rebuild the pending record — client and participant set — and
+  // judge vote completeness after takeover. A lost launch degrades
+  // safely to presumed abort.
+  launches_[gid] = LaunchRecord{txn.client, it->second.shards};
+  BroadcastAppend(/*append_id=*/0, shim::CoordAppendMsg::kLaunch, gid,
+                  /*commit=*/false, /*cseq=*/0, /*proof=*/nullptr,
+                  txn.client, &it->second.shards);
   SendFragments(it->second);
 }
 
@@ -320,7 +312,7 @@ void TxnCoordinator::HandleVoteCert(const sim::Envelope& env) {
       return;
     }
   }
-  if (GroupMode() && (!IsGroupLeader() || !leader_synced_)) {
+  if (!IsGroupLeader() || !leader_synced_) {
     // Votes are never forwarded (that would defeat the sender-auth
     // guard above); a follower bounces a redirect so the verifier
     // re-aims its retransmits, a mid-takeover leader stays silent.
@@ -361,44 +353,29 @@ void TxnCoordinator::ProcessVote(const crypto::VoteShare& share,
   ++votes_received_;
   auto decided = decisions_.find(gid);
   if (decided != decisions_.end()) {
-    // Participant retry after we decided COMMIT (only commits are
-    // logged — presumed abort): answer from the durable log, with the
-    // logged quorum proof.
+    // Participant retry after the decision: answer from the durable
+    // log, with the logged quorum proof.
     SendDecision(gid, decided->second.commit, decided->second.cseq, from,
                  &decided->second.proof);
     return;
   }
   auto it = pending_.find(gid);
   if (it == pending_.end()) {
-    if (GroupMode()) {
-      // A replicated coordinator's presumed abort must be durable
-      // before it is answered: quorum-log an explicit ABORT record
-      // first, so no later leader — whose sync majority necessarily
-      // intersects this quorum — can resurrect a conflicting COMMIT
-      // for the same transaction.
-      if (inflight_aborts_.contains(gid)) return;  // answer rides quorum
-      inflight_aborts_.insert(gid);
-      PendingAppend pa;
-      pa.global_id = gid;
-      pa.commit = false;
-      pa.presumed = true;
-      pa.answer_to = from;
-      pa.acks.insert(options_.group_index);
-      uint64_t aid = StageAppend(std::move(pa));
-      BroadcastAppend(aid, shim::CoordAppendMsg::kDecision, gid,
-                      /*commit=*/false, /*cseq=*/0, /*proof=*/nullptr,
-                      kInvalidActor, /*shards=*/nullptr);
-      return;
-    }
-    // Vote for a transaction with no pending record and no logged
-    // COMMIT: either a crash lost the volatile state before the
-    // decision, or the transaction was aborted — presumed abort either
-    // way. Nothing is stored and nothing is counted (this is an answer
-    // derived from the log's silence, not a new decision; retries would
-    // otherwise inflate the counter). Presumed answers carry cseq 0:
-    // they are re-derived per retry, so there is no single decision the
-    // watermark could confirm.
-    SendDecision(gid, false, /*cseq=*/0, from, /*proof=*/nullptr);
+    // No pending record and no logged decision: a crash or takeover
+    // lost the volatile state before the decision — presumed abort. The
+    // answer must be durable before it is sent: quorum-log an explicit
+    // ABORT record first, so no later leader — whose sync majority
+    // necessarily intersects this quorum — can resurrect a conflicting
+    // COMMIT for the same transaction. It carries cseq 0: no
+    // participant acks it, so the watermark never confirms it.
+    if (inflight_aborts_.contains(gid)) return;  // answer rides quorum
+    inflight_aborts_.insert(gid);
+    PendingAppend pa;
+    pa.global_id = gid;
+    pa.commit = false;
+    pa.presumed = true;
+    pa.answer_to = from;
+    StageAppend(std::move(pa), kInvalidActor, /*shards=*/nullptr);
     return;
   }
   PendingTxn& pending = it->second;
@@ -441,32 +418,27 @@ void TxnCoordinator::Decide(TxnId global_id, bool commit) {
       proof.shares.push_back(share);
     }
   }
-  if (GroupMode()) {
-    if (!IsGroupLeader() || !leader_synced_) {
-      // Demoted mid-flight: drop the pending record; the serving leader
-      // re-derives it from launches and retried votes, presumed abort
-      // covers the rest.
-      pending_.erase(it);
-      return;
-    }
-    // Quorum fence: the decision is appended to the group and acted on
-    // only once a majority (including self) holds it. A stale
-    // minority-partitioned leader can therefore never send a decision
-    // that a later leader's sync would contradict. Both outcomes are
-    // fenced — explicit aborts too, so a takeover's sync sees them.
-    pending.deciding = true;
-    PendingAppend pa;
-    pa.global_id = global_id;
-    pa.commit = commit;
-    pa.cseq = cseq;
-    pa.proof = proof;
-    pa.acks.insert(options_.group_index);
-    uint64_t aid = StageAppend(std::move(pa));
-    BroadcastAppend(aid, shim::CoordAppendMsg::kDecision, global_id, commit,
-                    cseq, &proof, pending.client, &pending.shards);
+  if (!IsGroupLeader() || !leader_synced_) {
+    // Demoted mid-flight: drop the pending record; the serving leader
+    // re-derives it from launches and retried votes, presumed abort
+    // covers the rest.
+    pending_.erase(it);
     return;
   }
-  FinishDecide(global_id, commit, cseq, proof);
+  // Quorum fence: the decision is appended to the group and acted on
+  // only once a majority (including self) holds it. A stale
+  // minority-partitioned leader can therefore never send a decision
+  // that a later leader's sync would contradict. Both outcomes are
+  // fenced — explicit aborts too, so a takeover's sync sees them. In a
+  // group of one the self-ack is the majority, so FinishDecide runs
+  // inside this call.
+  pending.deciding = true;
+  PendingAppend pa;
+  pa.global_id = global_id;
+  pa.commit = commit;
+  pa.cseq = cseq;
+  pa.proof = std::move(proof);
+  StageAppend(std::move(pa), pending.client, &pending.shards);
 }
 
 void TxnCoordinator::FinishDecide(TxnId global_id, bool commit,
@@ -475,21 +447,15 @@ void TxnCoordinator::FinishDecide(TxnId global_id, bool commit,
   auto it = pending_.find(global_id);
   if (it == pending_.end()) return;
   PendingTxn& pending = it->second;
-  // COMMIT is logged before telling anyone — the write-ahead rule that
-  // makes it survive a crash between the first and last decision send.
-  // Singleton mode never logs aborts: presumed abort means an unknown
-  // id already answers ABORT, so the log stays bounded by committed
-  // transactions. Group mode logs explicit aborts too (quorum-fenced
-  // above), so sync-time conflict resolution has both outcomes.
+  // The decision is logged before telling anyone — the write-ahead rule
+  // that makes it survive a crash between the first and last decision
+  // send. Both outcomes are logged (quorum-fenced in Decide), so
+  // sync-time conflict resolution has both to compare.
+  decisions_[global_id] =
+      DecisionRecord{commit, cseq, sim_->now(), proof, view_};
   if (commit) {
-    decisions_[global_id] =
-        DecisionRecord{commit, cseq, sim_->now(), proof, view_};
     ++commits_decided_;
   } else {
-    if (GroupMode()) {
-      decisions_[global_id] =
-          DecisionRecord{false, cseq, sim_->now(), {}, view_};
-    }
     ++aborts_decided_;
   }
   launches_.erase(global_id);
@@ -522,13 +488,10 @@ void TxnCoordinator::SendDecision(TxnId global_id, bool commit,
   }
   decision->cseq = cseq;
   decision->watermark = watermark_;
-  if (GroupMode()) {
-    // View stamp: how participants learn the current leader (and where
-    // to aim vote retransmits). Absent on singleton wire bytes.
-    decision->has_view = true;
-    decision->coord_view = view_;
-    decision->coord_leader = id();
-  }
+  // View stamp: how participants learn the current leader (and where to
+  // aim vote retransmits).
+  decision->coord_view = view_;
+  decision->coord_leader = id();
   net_->Send(id(), to, decision, decision->WireSize());
 }
 
@@ -584,10 +547,9 @@ void TxnCoordinator::RecordAcks(uint32_t shard,
         it->second.decided_at + options_.decision_retention <= now;
     if (!fully_acked && !expired) break;
     watermark_ = it->first;
-    // Group mode also logs explicit aborts, so fully-acked aborts enter
-    // the retention pipeline too — otherwise the abort entries would
-    // outlive their usefulness forever.
-    if (fully_acked && (it->second.commit || GroupMode())) {
+    // Aborts are logged too, so fully-acked aborts enter the retention
+    // pipeline like commits — otherwise they would never be pruned.
+    if (fully_acked) {
       retention_queue_.emplace_back(now, it->second.global_id);
     }
     if (!fully_acked) ++outstanding_expired_;
@@ -596,9 +558,9 @@ void TxnCoordinator::RecordAcks(uint32_t shard,
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator-group replication (DESIGN.md §10). Every function below is
-// unreachable when |group| <= 1: no timer is armed, no group message is
-// sent or accepted, and the singleton event stream stays byte-identical.
+// Coordinator-group replication (DESIGN.md §10). A group of one runs the
+// same code with majority 1: its self-ack completes every append and its
+// own vote completes every sync, so it never sends a group message.
 // ---------------------------------------------------------------------------
 
 int TxnCoordinator::GroupIndexOf(ActorId a) const {
@@ -608,10 +570,17 @@ int TxnCoordinator::GroupIndexOf(ActorId a) const {
   return -1;
 }
 
-uint64_t TxnCoordinator::StageAppend(PendingAppend pa) {
+void TxnCoordinator::StageAppend(PendingAppend pa, ActorId client,
+                                 const std::vector<uint32_t>* shards) {
   uint64_t aid = ++next_append_id_;
+  BroadcastAppend(aid, shim::CoordAppendMsg::kDecision, pa.global_id,
+                  pa.commit, pa.cseq, &pa.proof, client, shards);
+  pa.acks.insert(options_.group_index);
+  if (pa.acks.size() >= GroupMajority()) {
+    CompleteAppend(std::move(pa));
+    return;
+  }
   pending_appends_.emplace(aid, std::move(pa));
-  return aid;
 }
 
 void TxnCoordinator::BroadcastAppend(uint64_t append_id,
@@ -621,6 +590,7 @@ void TxnCoordinator::BroadcastAppend(uint64_t append_id,
                                      const crypto::VoteCertificate* proof,
                                      ActorId client,
                                      const std::vector<uint32_t>* shards) {
+  if (options_.group.size() == 1) return;  // No peer to send to.
   auto msg = std::make_shared<shim::CoordAppendMsg>(id());
   msg->view = view_;
   msg->append_id = append_id;
@@ -640,7 +610,6 @@ void TxnCoordinator::BroadcastAppend(uint64_t append_id,
 }
 
 void TxnCoordinator::HandleAppend(const sim::Envelope& env) {
-  if (!GroupMode()) return;
   const auto* msg = shim::MessageAs<shim::CoordAppendMsg>(
       env, shim::MsgKind::kCoordAppend);
   if (msg == nullptr) return;
@@ -700,7 +669,6 @@ void TxnCoordinator::HandleAppend(const sim::Envelope& env) {
 }
 
 void TxnCoordinator::HandleAppendAck(const sim::Envelope& env) {
-  if (!GroupMode()) return;
   const auto* msg =
       shim::MessageAs<shim::CoordAckMsg>(env, shim::MsgKind::kCoordAck);
   if (msg == nullptr) return;
@@ -717,6 +685,10 @@ void TxnCoordinator::HandleAppendAck(const sim::Envelope& env) {
   if (it->second.acks.size() < GroupMajority()) return;
   PendingAppend pa = std::move(it->second);
   pending_appends_.erase(it);
+  CompleteAppend(std::move(pa));
+}
+
+void TxnCoordinator::CompleteAppend(PendingAppend pa) {
   if (pa.takeover) {
     if (takeover_reappends_ > 0 && --takeover_reappends_ == 0 &&
         !leader_synced_) {
@@ -741,7 +713,6 @@ void TxnCoordinator::HandleAppendAck(const sim::Envelope& env) {
 }
 
 void TxnCoordinator::HandleSyncRequest(const sim::Envelope& env) {
-  if (!GroupMode()) return;
   const auto* msg = shim::MessageAs<shim::CoordSyncRequestMsg>(
       env, shim::MsgKind::kCoordSyncRequest);
   if (msg == nullptr) return;
@@ -770,7 +741,6 @@ void TxnCoordinator::HandleSyncRequest(const sim::Envelope& env) {
 }
 
 void TxnCoordinator::HandleSyncReply(const sim::Envelope& env) {
-  if (!GroupMode()) return;
   const auto* msg = shim::MessageAs<shim::CoordSyncReplyMsg>(
       env, shim::MsgKind::kCoordSyncReply);
   if (msg == nullptr) return;
@@ -835,14 +805,14 @@ void TxnCoordinator::AdoptView(uint64_t view) {
 }
 
 void TxnCoordinator::ArmFailoverTimer() {
-  if (!GroupMode() || crashed_ || failover_timer_ != 0) return;
+  if (crashed_ || failover_timer_ != 0) return;
   failover_timer_ = sim_->Schedule(options_.failover_timeout,
                                    [this]() { OnFailoverTimeout(); });
 }
 
 void TxnCoordinator::OnFailoverTimeout() {
   failover_timer_ = 0;
-  if (crashed_ || !GroupMode()) return;
+  if (crashed_) return;
   // A serving leader heartbeats instead; a candidate mid-sync retries
   // via its own timer (bumping views while partitioned into a minority
   // would only thrash).
@@ -865,7 +835,7 @@ void TxnCoordinator::OnFailoverTimeout() {
 }
 
 void TxnCoordinator::StartTakeover() {
-  if (!GroupMode() || crashed_) return;
+  if (crashed_) return;
   SBFT_LOG(kDebug) << name() << " takeover at view " << view_;
   syncing_ = true;
   leader_synced_ = false;
@@ -876,6 +846,12 @@ void TxnCoordinator::StartTakeover() {
   for (ActorId peer : options_.group) {
     if (peer == id()) continue;
     net_->Send(id(), peer, req, req->WireSize());
+  }
+  // This member's own log counts as one sync reply: in a group of one
+  // it is the majority, and the takeover completes here.
+  if (sync_replies_.size() + 1 >= GroupMajority()) {
+    CompleteTakeover();
+    return;
   }
   if (sync_retry_timer_ != 0) sim_->Cancel(sync_retry_timer_);
   sync_retry_timer_ =
@@ -896,8 +872,15 @@ void TxnCoordinator::CompleteTakeover() {
   // this view, so it dominates stale records) or this leader never
   // serves. Quorum intersection then guarantees any later takeover sees
   // every entry this leader may act on — the Raft "re-commit prior-term
-  // entries" rule transplanted to the 2PC decision log.
-  takeover_reappends_ = 0;
+  // entries" rule transplanted to the 2PC decision log. The barrier
+  // counts every entry up front: in a group of one each append
+  // completes inside StageAppend, and the last one finishes the
+  // takeover.
+  takeover_reappends_ = static_cast<uint32_t>(decisions_.size());
+  if (takeover_reappends_ == 0) {
+    FinishTakeover();
+    return;
+  }
   for (auto& [gid, rec] : decisions_) {
     rec.view = view_;
     PendingAppend pa;
@@ -906,14 +889,8 @@ void TxnCoordinator::CompleteTakeover() {
     pa.cseq = rec.cseq;
     pa.proof = rec.proof;
     pa.takeover = true;
-    pa.acks.insert(options_.group_index);
-    uint64_t aid = StageAppend(std::move(pa));
-    BroadcastAppend(aid, shim::CoordAppendMsg::kDecision, gid, rec.commit,
-                    rec.cseq, &rec.proof, kInvalidActor,
-                    /*shards=*/nullptr);
-    ++takeover_reappends_;
+    StageAppend(std::move(pa), kInvalidActor, /*shards=*/nullptr);
   }
-  if (takeover_reappends_ == 0) FinishTakeover();
 }
 
 void TxnCoordinator::FinishTakeover() {
@@ -924,7 +901,7 @@ void TxnCoordinator::FinishTakeover() {
   // outstanding_ map and the synced watermark; every cseq it assigns
   // exceeds every synced one, so advancement stays monotone. Adopted
   // entries simply stay in the log unpruned — the same safe direction
-  // as the singleton's expiry path.
+  // as the watermark's expiry path.
   for (const auto& [gid, launch] : launches_) {
     if (decisions_.contains(gid)) continue;
     PendingTxn pending;
@@ -950,7 +927,8 @@ void TxnCoordinator::FinishTakeover() {
 }
 
 void TxnCoordinator::SendHeartbeat() {
-  if (crashed_ || !GroupMode() || !IsGroupLeader()) return;
+  // A group of one has no follower whose failure detector needs feeding.
+  if (crashed_ || !IsGroupLeader() || options_.group.size() == 1) return;
   BroadcastAppend(/*append_id=*/0, shim::CoordAppendMsg::kHeartbeat,
                   /*global_id=*/0, /*commit=*/false, /*cseq=*/0,
                   /*proof=*/nullptr, kInvalidActor, /*shards=*/nullptr);

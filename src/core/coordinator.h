@@ -25,11 +25,11 @@ struct CoordinatorOptions {
   /// Retention of fully-acked COMMIT entries before watermark
   /// truncation (covers client retransmissions of lost responses).
   SimDuration decision_retention = Seconds(5);
-  /// Replicated coordinator group (DESIGN.md §10): every member's actor
-  /// id in index order; member 0 is the view-0 leader. Size <= 1 keeps
-  /// the trusted-singleton behaviour — no group machinery runs and no
-  /// group message ever hits the wire, so the event stream is
-  /// byte-identical to the pre-group code.
+  /// Coordinator group (DESIGN.md §10): every member's actor id in index
+  /// order; member 0 is the view-0 leader. One member (or an empty list,
+  /// which means this coordinator alone) is a group of one: majority 1,
+  /// so its self-ack completes every append and it never sends a group
+  /// message.
   std::vector<ActorId> group;
   /// This member's index in `group`.
   uint32_t group_index = 0;
@@ -41,10 +41,10 @@ struct CoordinatorOptions {
   /// gid's own group.
   uint32_t group_id = 0;
   uint32_t num_groups = 1;
-  /// Leader heartbeat period (group mode only).
+  /// Leader heartbeat period (unused by a group of one: no followers).
   SimDuration heartbeat_interval = Millis(100);
   /// Follower silence threshold before it bumps the view and, if it is
-  /// the new view's leader, starts takeover (group mode only).
+  /// the new view's leader, starts takeover.
   SimDuration failover_timeout = Millis(500);
 };
 
@@ -69,18 +69,21 @@ struct CoordinatorOptions {
 /// applied cseqs on their next vote certificates, the coordinator
 /// advances a fully-decided watermark over the complete ack prefix,
 /// piggybacks it on outgoing decisions, and
-/// truncates COMMIT entries below it once the retention window (for
+/// truncates decision entries below it once the retention window (for
 /// late client retransmissions) has passed — bounding the log by
 /// in-flight transactions instead of total cross-shard count.
+///
+/// Every coordinator is a member of a CFT group that quorum-replicates
+/// the decision log (DESIGN.md §10); one coordinator alone is a group
+/// of one and runs the same code.
 class TxnCoordinator : public sim::Actor {
  public:
   /// Resolves the current primary of a shard (tracks view changes).
   using ShardPrimaryResolver = std::function<ActorId(uint32_t shard)>;
 
-  /// One durable decision-log entry. Singleton mode stores only COMMITs
-  /// (aborts are presumed, never stored); group mode also stores
-  /// explicit aborts so a takeover's majority sync can see them and
-  /// max-view conflict resolution has both outcomes to compare.
+  /// One durable decision-log entry. Both outcomes are stored — explicit
+  /// and presumed aborts too — so a takeover's majority sync can see
+  /// them and max-view conflict resolution has both to compare.
   struct DecisionRecord {
     bool commit = false;
     /// Dense decision sequence the watermark advances over.
@@ -113,16 +116,15 @@ class TxnCoordinator : public sim::Actor {
 
   /// Crash-stop / recover hook (fault engine). Crashing silences the
   /// actor; recovery wipes the volatile vote state but keeps the
-  /// decision log — the classic 2PC stable-storage split. In group
-  /// mode a recovering member rejoins as a follower (or restarts
-  /// takeover if it is still the nominal leader of the current view —
-  /// peers holding a higher view demote it through their replies).
+  /// decision log — the classic 2PC stable-storage split. A recovering
+  /// member rejoins as a follower (or restarts takeover if it is still
+  /// the nominal leader of the current view — peers holding a higher
+  /// view demote it through their replies; a group of one completes the
+  /// takeover at once).
   void SetCrashed(bool crashed);
   bool crashed() const { return crashed_; }
 
   // --- coordinator-group replication (DESIGN.md §10) ---
-  /// True when this coordinator is one member of a replicated group.
-  bool GroupMode() const { return options_.group.size() > 1; }
   /// Current group view; the leader of view v is group[v % |group|]
   /// (the shared CoordGroups::LeaderIndexAt rule).
   uint64_t view() const { return view_; }
@@ -130,15 +132,15 @@ class TxnCoordinator : public sim::Actor {
     return options_.group[CoordGroups::LeaderIndexAt(
         view_, static_cast<uint32_t>(options_.group.size()))];
   }
-  bool IsGroupLeader() const { return GroupMode() && GroupLeader() == id(); }
+  bool IsGroupLeader() const { return GroupLeader() == id(); }
   /// A leader serves 2PC traffic only once its takeover sync +
   /// re-replication completed (member 0 starts synced at view 0).
   bool leader_synced() const { return leader_synced_; }
   /// View bumps this member performed or adopted.
   uint64_t view_changes() const { return view_changes_; }
   /// Unknown-gid presumed aborts that were quorum-logged before being
-  /// answered (group mode makes the presumed answer durable so no later
-  /// leader can contradict it).
+  /// answered (a durable presumed answer keeps any later leader from
+  /// contradicting it).
   uint64_t presumed_aborts_logged() const { return presumed_aborts_logged_; }
 
   // --- gid partitioning (DESIGN.md §12) ---
@@ -160,8 +162,8 @@ class TxnCoordinator : public sim::Actor {
   uint64_t txns_coordinated() const { return txns_coordinated_; }
   uint64_t commits_decided() const { return commits_decided_; }
   /// Explicit ABORT decisions (vote NO / vote timeout). Presumed-abort
-  /// answers for ids unknown after a crash are not counted — they are
-  /// re-derived per retry, not decided.
+  /// answers for ids unknown after a crash are counted by
+  /// presumed_aborts_logged() instead.
   uint64_t aborts_decided() const { return aborts_decided_; }
   /// Logical prepare votes processed (one per share of a kShardVoteCert).
   uint64_t votes_received() const { return votes_received_; }
@@ -172,9 +174,9 @@ class TxnCoordinator : public sim::Actor {
   /// Certificate messages dropped whole: a share failed the per-share
   /// sender guard or the batch signature verification.
   uint64_t vote_certs_rejected() const { return vote_certs_rejected_; }
-  /// Durable decision log. Presumed abort: only COMMIT outcomes are
-  /// logged; an id absent here was (or will be) answered ABORT. Entries
-  /// below the watermark are truncated after the retention window.
+  /// Durable decision log of both outcomes; an id absent here was never
+  /// decided (or was pruned). Fully-acked entries below the watermark are
+  /// truncated after the retention window.
   const std::map<TxnId, DecisionRecord>& decisions() const {
     return decisions_;
   }
@@ -209,7 +211,7 @@ class TxnCoordinator : public sim::Actor {
     /// takeover (the shards already hold their fragments).
     std::vector<std::shared_ptr<shim::ClientRequestMsg>> fragments;
     sim::EventId timer = 0;
-    /// Group mode: a quorum-fenced decision append is in flight for this
+    /// A quorum-fenced decision append is in flight for this
     /// transaction — late votes are ignored until FinishDecide runs.
     bool deciding = false;
   };
@@ -224,10 +226,8 @@ class TxnCoordinator : public sim::Actor {
     std::set<uint32_t> acked;
   };
 
-  /// One quorum-fenced group append awaiting follower acks. Regular
-  /// decisions run FinishDecide on quorum; `presumed` entries answer a
-  /// retried vote instead; `takeover` entries are re-replications of
-  /// adopted log entries and only count down the takeover barrier.
+  /// One quorum-fenced group append awaiting follower acks (see
+  /// CompleteAppend for what a quorum triggers).
   struct PendingAppend {
     TxnId global_id = 0;
     bool commit = false;
@@ -286,14 +286,22 @@ class TxnCoordinator : public sim::Actor {
   /// Truncates fully-acked COMMIT entries whose retention has passed.
   void PruneDecisions();
 
-  // --- group-mode internals (no-ops when |group| <= 1) ---
+  // --- group replication internals (a group of one sends no message) ---
   uint32_t GroupMajority() const {
     return static_cast<uint32_t>(options_.group.size()) / 2 + 1;
   }
   /// Index of `a` in the group, or -1 when it is not a member.
   int GroupIndexOf(ActorId a) const;
-  /// Stages a quorum-fenced append and broadcasts it to the peers.
-  uint64_t StageAppend(PendingAppend pa);
+  /// Broadcasts a quorum-fenced decision-log append to the peers and
+  /// counts this member's own ack; once a majority holds the entry —
+  /// at once in a group of one — CompleteAppend runs. `client` and
+  /// `shards` ride along on a regular decision.
+  void StageAppend(PendingAppend pa, ActorId client,
+                   const std::vector<uint32_t>* shards);
+  /// A majority holds `pa`: a regular decision runs FinishDecide, a
+  /// `presumed` entry is logged and answers the retried vote, a
+  /// `takeover` entry counts down the re-replication barrier.
+  void CompleteAppend(PendingAppend pa);
   void BroadcastAppend(uint64_t append_id, shim::CoordAppendMsg::Entry entry,
                        TxnId global_id, bool commit, uint64_t cseq,
                        const crypto::VoteCertificate* proof,
@@ -303,8 +311,9 @@ class TxnCoordinator : public sim::Actor {
   void HandleAppendAck(const sim::Envelope& env);
   void HandleSyncRequest(const sim::Envelope& env);
   void HandleSyncReply(const sim::Envelope& env);
-  /// Second half of Decide: log (post-quorum in group mode), send shard
-  /// decisions, track acks, answer the client, drop the pending record.
+  /// Second half of Decide, run once the decision is quorum-durable: log,
+  /// send shard decisions, track acks, answer the client, drop the
+  /// pending record.
   void FinishDecide(TxnId global_id, bool commit, uint64_t cseq,
                     const crypto::VoteCertificate& proof);
   /// Adopt a higher view observed on the wire and fall back to
@@ -343,11 +352,11 @@ class TxnCoordinator : public sim::Actor {
   bool crashed_ = false;
   /// Volatile 2PC state: lost on crash (presumed abort covers it).
   std::map<TxnId, PendingTxn> pending_;
-  /// Durable COMMIT log: survives crashes; aborts are presumed (never
-  /// stored). Clients learn decided outcomes from their own
-  /// retransmission (the resend carries the transaction, so no client
-  /// map needs to survive). Watermark truncation bounds the log by
-  /// in-flight transactions plus the retention window.
+  /// Durable decision log: survives crashes. Clients learn decided
+  /// outcomes from their own retransmission (the resend carries the
+  /// transaction, so no client map needs to survive). Watermark
+  /// truncation bounds the log by in-flight transactions plus the
+  /// retention window.
   std::map<TxnId, DecisionRecord> decisions_;
 
   // --- watermark state ---
@@ -361,7 +370,7 @@ class TxnCoordinator : public sim::Actor {
   /// Fully-acked COMMITs waiting out the retention window, cseq order.
   std::deque<std::pair<SimTime, TxnId>> retention_queue_;
 
-  // --- coordinator-group state (inert when |group| <= 1) ---
+  // --- coordinator-group state ---
   /// Current view; leader of view v is group[v % |group|]. Modeled as
   /// stable (survives crashes) like the decision log.
   uint64_t view_ = 0;

@@ -618,10 +618,8 @@ void LinearCertMsg::BuildWire(Encoder* enc) const {
 }
 
 size_t ShardVoteCertMsg::PayloadWireBytes() const {
-  size_t n = cert.WireSize() + 1 + VarintLen(acked_cseqs.size()) +
-             8 * acked_cseqs.size();
-  if (has_view) n += 8;
-  return n;
+  return cert.WireSize() + 1 + VarintLen(acked_cseqs.size()) +
+         8 * acked_cseqs.size() + 8;
 }
 
 void ShardVoteCertMsg::BuildWire(Encoder* enc) const {
@@ -634,15 +632,12 @@ void ShardVoteCertMsg::BuildWire(Encoder* enc) const {
   for (uint64_t cseq : acked_cseqs) {
     enc->PutU64(cseq);
   }
-  // View stamp: only a replicated coordinator group (replicas > 1) sets
-  // has_view, so singleton runs carry no stamp.
-  if (has_view) enc->PutU64(coord_view);
+  enc->PutU64(coord_view);
 }
 
 size_t ShardCommitDecisionMsg::PayloadWireBytes() const {
-  size_t n = 8 + 1 + 16;
+  size_t n = 8 + 1 + 16 + 8 + 4;
   if (!proof.shares.empty()) n += proof.WireSize();
-  if (has_view) n += 8 + 4;
   return n;
 }
 
@@ -655,12 +650,8 @@ void ShardCommitDecisionMsg::BuildWire(Encoder* enc) const {
   if (!proof.shares.empty()) proof.EncodeTo(enc);
   enc->PutU64(cseq);
   enc->PutU64(watermark);
-  // View stamp: set only by a replicated coordinator group, so the
-  // singleton decision wire bytes (and golden digests) are untouched.
-  if (has_view) {
-    enc->PutU64(coord_view);
-    enc->PutU32(coord_leader);
-  }
+  enc->PutU64(coord_view);
+  enc->PutU32(coord_leader);
 }
 
 size_t CoordAppendMsg::PayloadWireBytes() const {

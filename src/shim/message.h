@@ -43,7 +43,7 @@ enum class MsgKind : uint8_t {
   kShardPrepareVote = 19,  ///< Reserved: votes travel as kShardVoteCert.
   kShardCommitDecision = 20,
   kShardVoteCert = 21,
-  // Coordinator-group replication (coordinator_replicas > 1 only).
+  // Coordinator-group replication (a group of one never sends these).
   kCoordAppend = 22,
   kCoordAck = 23,
   kCoordSyncRequest = 24,
@@ -514,11 +514,8 @@ struct ShardVoteCertMsg : Message {
   /// Watermark piggyback: decision cseqs this shard has applied but not
   /// yet seen confirmed by the coordinator group's watermark.
   std::vector<uint64_t> acked_cseqs;
-  /// View stamp (coordinator_replicas > 1): the coordinator-group view
-  /// this participant believes is current when it votes — a stale stamp
-  /// is answered with a view-stamped decision the participant learns the
-  /// real leader from. Trailing section, absent on singleton wire bytes.
-  bool has_view = false;
+  /// View stamp: the coordinator-group view this participant believes
+  /// is current when it votes. Trailing section, always present.
   uint64_t coord_view = 0;
 
   size_t PayloadWireBytes() const override;
@@ -546,11 +543,9 @@ struct ShardCommitDecisionMsg : Message {
   /// truncated.
   uint64_t cseq = 0;
   uint64_t watermark = 0;
-  /// View stamp (coordinator_replicas > 1): the deciding group view and
-  /// the leader's actor id — how participants learn the current leader
-  /// and where to redirect vote retransmits. Trailing section, absent on
-  /// singleton wire bytes.
-  bool has_view = false;
+  /// View stamp: the deciding group view and the leader's actor id — how
+  /// participants learn the current leader and where to redirect vote
+  /// retransmits. Trailing section, always present.
   uint64_t coord_view = 0;
   ActorId coord_leader = kInvalidActor;
 
@@ -559,9 +554,9 @@ struct ShardCommitDecisionMsg : Message {
 };
 
 // ---------------------------------------------------------------------------
-// Coordinator-group replication (DESIGN.md §10). None of these kinds is
-// emitted when coordinator_replicas == 1 — the singleton configuration's
-// wire traffic (and thereby the golden scenario digests) is untouched.
+// Coordinator-group replication (DESIGN.md §10). A group of one
+// (coordinator_replicas == 1) completes its quorums alone and emits none
+// of these kinds.
 // ---------------------------------------------------------------------------
 
 /// Coordinator leader -> followers: one replicated-log record. Serves

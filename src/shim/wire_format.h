@@ -280,9 +280,8 @@ static_assert(sizeof(ShardVoteCertHeader) == 5, "wire layout changed");
 
 // --- coordinator-group replication (DESIGN.md §10) ---
 //
-// These kinds only ever hit the wire when `coordinator_replicas > 1`; a
-// singleton deployment emits none of them, which is what keeps the golden
-// scenario digests byte-identical at the default configuration.
+// These kinds only ever hit the wire when `coordinator_replicas > 1`: a
+// group of one completes its quorums alone.
 
 /// kCoordAppend prefix: the sent-to/participant shard list and an
 /// optional quorum proof follow. One header serves heartbeats (entry 0),

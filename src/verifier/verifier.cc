@@ -484,10 +484,7 @@ void Verifier::FlushVoteCerts() {
     // message round.
     msg->acked_cseqs.assign(gs.unconfirmed_acks.begin(),
                             gs.unconfirmed_acks.end());
-    if (config_.coord_groups.replicated()) {
-      msg->has_view = true;
-      msg->coord_view = gs.view;
-    }
+    msg->coord_view = gs.view;
     ++vote_certs_sent_;
     net_->Send(id(), coordinator, msg, msg->WireSize());
   }
@@ -498,33 +495,20 @@ void Verifier::HandleDecision(const sim::Envelope& env) {
   const auto* msg = shim::MessageAs<shim::ShardCommitDecisionMsg>(
       env, shim::MsgKind::kShardCommitDecision);
   if (msg == nullptr) return;
-  // Only the coordinator this fragment voted to may resolve it — a
-  // forged decision from anyone else must not release prepare state.
-  // With more than one member the guard generalizes to membership in
-  // the gid's *own* group (any member of it may have become leader —
-  // but a member of another group must never resolve a foreign gid),
-  // and view-stamped decisions teach this verifier where to aim the
-  // sender's group's vote retransmits.
-  const bool multi = config_.coord_groups.multi();
-  if (multi) {
-    if (!config_.coord_groups.IsMember(env.from)) return;
-    CoordGroupState& gs =
-        coord_groups_[config_.coord_groups.GroupOfMember(env.from)];
-    if (msg->has_view && msg->coord_view >= gs.view) {
-      gs.view = msg->coord_view;
-      gs.leader = msg->coord_leader;
-    }
+  // Only a member of the gid's own coordinator group may resolve it
+  // (any member may have become leader, but a forged decision from
+  // anyone else — a member of another group included — must not
+  // release prepare state). View-stamped decisions teach this verifier
+  // where to aim the sender's group's vote retransmits.
+  if (!config_.coord_groups.IsMember(env.from)) return;
+  const uint32_t g = config_.coord_groups.GroupOfMember(env.from);
+  CoordGroupState& gs = coord_groups_[g];
+  if (msg->coord_view >= gs.view) {
+    gs.view = msg->coord_view;
+    gs.leader = msg->coord_leader;
   }
-  auto it = prepared_.find(msg->global_id);
-  if (it == prepared_.end()) return;
-  if (multi) {
-    if (config_.coord_groups.GroupOfMember(env.from) !=
-        config_.coord_groups.GroupOf(msg->global_id)) {
-      return;
-    }
-  } else if (env.from != it->second.ref.coordinator) {
-    return;
-  }
+  if (g != config_.coord_groups.GroupOf(msg->global_id)) return;
+  if (!prepared_.contains(msg->global_id)) return;
   if (msg->commit) {
     // A COMMIT must prove its quorum: every participant's signed YES
     // share, including this shard's own. Aborts need no proof (abort is
@@ -545,7 +529,6 @@ void Verifier::HandleDecision(const sim::Envelope& env) {
 }
 
 void Verifier::HandleCoordRedirect(const sim::Envelope& env) {
-  if (!config_.coord_groups.replicated()) return;
   const auto* msg = shim::MessageAs<shim::CoordRedirectMsg>(
       env, shim::MsgKind::kCoordRedirect);
   if (msg == nullptr) return;
@@ -559,16 +542,19 @@ void Verifier::HandleCoordRedirect(const sim::Envelope& env) {
   }
   CoordGroupState& gs = coord_groups_[g];
   if (msg->view < gs.view) return;
-  bool changed = msg->view > gs.view || gs.leader != msg->leader;
+  // A leader naming itself has just finished a takeover, so its vote
+  // state is fresh even when the view and leader are not (a group of
+  // one recovering from a crash keeps both).
+  bool resend = msg->view > gs.view || gs.leader != msg->leader ||
+                msg->leader == env.from;
   gs.view = msg->view;
   gs.leader = msg->leader;
-  if (!changed) return;
-  // Leader changed: a takeover's re-derived vote state is waiting on
-  // our retransmits. Re-send this group's standing votes at the new
-  // leader now, with the backoff reset — one certificate instead of
-  // per-fragment trickle — rather than waiting out up to the capped
-  // retry interval. Other groups' fragments are untouched: their
-  // leaders did not move.
+  if (!resend) return;
+  // The takeover's re-derived vote state is waiting on our retransmits.
+  // Re-send this group's standing votes at the leader now, with the
+  // backoff reset — one certificate instead of per-fragment trickle —
+  // rather than waiting out up to the capped retry interval. Other
+  // groups' fragments are untouched: their leaders did not move.
   const bool outer_batching = vote_batching_;
   vote_batching_ = true;
   for (auto& [gid, frag] : prepared_) {

@@ -187,7 +187,10 @@ struct SinkActor : sim::Actor {
 
 TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
   constexpr ActorId kVerifier = 999;
-  constexpr ActorId kCoordinator = 888;
+  // The default topology is one group of one: its member is the only
+  // actor whose decisions the verifier accepts.
+  constexpr ActorId kCoordinator = kCoordinatorBaseId;
+  constexpr ActorId kOutsider = 888;
   constexpr ActorId kExec1 = 200;
   constexpr ActorId kExec2 = 201;
   constexpr TxnId kGid = 777;
@@ -255,22 +258,28 @@ TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
   EXPECT_GT(verifier.prepare_locks_held(), 0u);
   EXPECT_GE(coordinator.CountKind(shim::MsgKind::kShardVoteCert), 1u);
 
-  auto decide = [&](const crypto::VoteCertificate* proof) {
-    auto decision = std::make_shared<shim::ShardCommitDecisionMsg>(
-        kCoordinator);
+  auto decide = [&](const crypto::VoteCertificate* proof,
+                    ActorId from) {
+    auto decision = std::make_shared<shim::ShardCommitDecisionMsg>(from);
     decision->global_id = kGid;
     decision->commit = true;
     if (proof != nullptr) decision->proof = *proof;
     sim::Envelope env;
-    env.from = kCoordinator;
+    env.from = from;
     env.to = kVerifier;
     env.wire_bytes = decision->WireSize();
     env.message = decision;
     verifier.OnMessage(env);
   };
 
+  // 0. A decision from outside the coordinator group is ignored before
+  // its proof is even looked at.
+  decide(nullptr, kOutsider);
+  EXPECT_EQ(verifier.decisions_rejected(), 0u);
+  EXPECT_GT(verifier.prepare_locks_held(), 0u);
+
   // 1. COMMIT without any proof: dropped, nothing applies.
-  decide(nullptr);
+  decide(nullptr, kCoordinator);
   EXPECT_EQ(verifier.twopc_committed(), 0u);
   EXPECT_EQ(verifier.decisions_rejected(), 1u);
   EXPECT_GT(verifier.prepare_locks_held(), 0u);
@@ -285,7 +294,7 @@ TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
   bad.signer = kVerifier;
   bad.sig = Bytes(16, 0xab);
   forged.shares.push_back(bad);
-  decide(&forged);
+  decide(&forged, kCoordinator);
   EXPECT_EQ(verifier.twopc_committed(), 0u);
   EXPECT_EQ(verifier.decisions_rejected(), 2u);
 
@@ -293,7 +302,7 @@ TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
   crypto::VoteCertificate good = forged;
   good.shares[0].sig =
       keys.Sign(kVerifier, crypto::VoteSigningBytes(kGid, 0, 1, true));
-  decide(&good);
+  decide(&good, kCoordinator);
   EXPECT_EQ(verifier.twopc_committed(), 1u);
   EXPECT_EQ(verifier.prepare_locks_held(), 0u);
   storage::VersionedValue vv;

@@ -53,15 +53,21 @@ const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     // event timing) on every sharded scenario. The eight single-plane
     // digests above are untouched — none of the flipped features emits a
     // byte without cross-shard fragments in play.
+    //
+    // coordinator_crash_2pc and lock_contention_2pc were regenerated when
+    // a one-member coordinator became a CFT group of one: it logs aborts
+    // (explicit and presumed) like a replicated group, stamps its views
+    // on decisions and vote certificates, and redirects the verifiers'
+    // standing votes to itself on recovery.
     {"shard_partition",
      "035410f1f217be03bded30ee6d0ab34a62e633e0ddb7dcbbb0a4884234e27539"},
     {"coordinator_crash_2pc",
-     "a071f304056716a29a1ce895934a2bc9aee2966080764b680d49ebe569e39900"},
+     "870d5e7bec8ded8ead7abf30aaf816a5730ab55b80a286ffcabc1d77218e907b"},
     // ISSUE-5 unified-commit-path scenario: bounded prepare-lock queueing
     // + fully-decided watermark + calibrated 2PC costs, coordinator crash
     // mid-queue. Pins the queueing/watermark machinery end to end.
     {"lock_contention_2pc",
-     "81eaf041b4a42e94364cc9d666f70f82afe309f5f44bf02ef70cac801811aad6"},
+     "7f78037789c29260e90aa3c09d51ebeace2c3335e66999b294a7b00930064024"},
     // ISSUE-7 open-loop traffic scenarios: TrafficSource actors inject at
     // the configured rate regardless of completion (bursty above
     // capacity / diurnal peak), with the per-source retry cap bounding
@@ -73,11 +79,8 @@ const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     {"gray_straggler_peak",
      "feacd3c7af9c0e5ecac93dd9d62de5a9cfcc1d9563a59b77b7aa7ce92d842007"},
     // ISSUE-8 replicated-coordinator scenarios (coordinator_replicas=3).
-    // Group replication only changes behaviour when configured on, so
-    // the thirteen digests above — all coordinator_replicas=1 — are
-    // untouched; these two pin the failover machinery itself (leader
-    // crash mid-2PC, minority-partitioned leader fenced by the append
-    // quorum).
+    // These two pin the failover machinery itself (leader crash
+    // mid-2PC, minority-partitioned leader fenced by the append quorum).
     {"coordinator_leader_crash_2pc",
      "b38e48cffe5897eecd1972ea17f353be534d713c42458479e1fd7f1afed8a4cd"},
     {"coordinator_partition_minority",

@@ -386,16 +386,19 @@ TEST(WireFormatTest, LinearMessagesMatchLegacyBytes) {
 }
 
 TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
-  // The vote certificate's ack section (with its marker byte, always 1)
-  // and the decision's (cseq, watermark) section are unconditional.
+  // The vote certificate's ack section (with its marker byte, always 1),
+  // the decision's (cseq, watermark) section and both view stamps are
+  // unconditional.
   ShardVoteCertMsg vc(9);
   vc.cert = MakeVoteCert();
   vc.acked_cseqs = {3, 4};
+  vc.coord_view = 5;
   ExpectLegacyBytes(vc, [&](Encoder* e) {
     vc.cert.EncodeTo(e);
     e->PutBool(true);
     e->PutVarint(vc.acked_cseqs.size());
     for (uint64_t c : vc.acked_cseqs) e->PutU64(c);
+    e->PutU64(vc.coord_view);
   });
 
   ShardVoteCertMsg no_acks(9);
@@ -404,6 +407,7 @@ TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
     no_acks.cert.EncodeTo(e);
     e->PutBool(true);
     e->PutVarint(0);
+    e->PutU64(0);
   });
 
   ShardCommitDecisionMsg decision(9);
@@ -412,15 +416,20 @@ TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
   decision.proof = MakeVoteCert();
   decision.cseq = 11;
   decision.watermark = 8;
+  decision.coord_view = 2;
+  decision.coord_leader = 890001;
   ExpectLegacyBytes(decision, [&](Encoder* e) {
     e->PutU64(decision.global_id);
     e->PutBool(decision.commit);
     decision.proof.EncodeTo(e);
     e->PutU64(decision.cseq);
     e->PutU64(decision.watermark);
+    e->PutU64(decision.coord_view);
+    e->PutU32(decision.coord_leader);
   });
 
-  // An abort carries no proof: the 14-byte prefix plus (cseq, watermark).
+  // An abort carries no proof: the 14-byte prefix plus (cseq, watermark)
+  // and the 12-byte view stamp.
   ShardCommitDecisionMsg abort(9);
   abort.global_id = 42;
   abort.cseq = 12;
@@ -429,9 +438,11 @@ TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
     e->PutBool(abort.commit);
     e->PutU64(abort.cseq);
     e->PutU64(abort.watermark);
+    e->PutU64(abort.coord_view);
+    e->PutU32(abort.coord_leader);
   });
   EXPECT_EQ(abort.Serialized().size(),
-            sizeof(wire::ShardCommitDecisionHeader) + 16);
+            sizeof(wire::ShardCommitDecisionHeader) + 16 + 12);
 }
 
 // ---------------------------------------------------------------------------
