@@ -34,6 +34,7 @@ int main() {
       config.shim.batch_size = 50;
       config.shim_cores = 4;
       config.verifier_cores = 1;
+      config.coordinator_cores = 1;
       config.num_clients = 8000;
       config.shard_count = shards;
       config.workload.cross_shard_percentage = cross_pct;

@@ -40,6 +40,10 @@ Architecture::Architecture(const SystemConfig& config)
     SBFT_LOG(kError) << "coordinator_groups capped at 64 (actor-id block)";
     config_.coordinator_groups = 64;
   }
+  if (config_.coordinator_cores < 1) {
+    SBFT_LOG(kError) << "coordinator_cores raised to 1";
+    config_.coordinator_cores = 1;
+  }
   router_ = storage::ShardRouter(config_.shard_count);
   // The workload generator places keys on deliberate shards for the
   // cross-shard knob; keep its view of the partitioning in sync.
@@ -222,9 +226,8 @@ void Architecture::BuildCoordinatorMember(
                          : planes_[shard]->CurrentPrimary();
       },
       &keys_, &sim_, net_.get(), coordinator_options);
-  auto cpu = std::make_unique<sim::ServerResource>(
-      &sim_, config_.coordinator_cores > 0 ? config_.coordinator_cores
-                                           : config_.verifier_cores);
+  auto cpu =
+      std::make_unique<sim::ServerResource>(&sim_, config_.coordinator_cores);
   net_->Register(coordinator.get(), sim::RegionTable::kHomeRegion);
   CostModel costs = config_.costs;
   net_->AttachServer(

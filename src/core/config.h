@@ -165,12 +165,11 @@ struct SystemConfig {
   /// and failover timers. Capped at 64 (64 x 9 members fit the
   /// reserved actor-id block).
   uint32_t coordinator_groups = 1;
-  /// Core count of each coordinator member's machine. 0 (the default)
-  /// inherits `verifier_cores` — the historical sizing, part of the
-  /// golden-digest anchor. Benches set it explicitly to model a small
-  /// coordination tier whose CPU, not the shard planes, binds the
-  /// cross-shard knee (bench_fig13).
-  int coordinator_cores = 0;
+  /// Core count of each coordinator member's machine (values below 1
+  /// are raised to 1). The default matches `verifier_cores`. Benches set
+  /// it explicitly to model a small coordination tier whose CPU, not the
+  /// shard planes, binds the cross-shard knee (bench_fig13).
+  int coordinator_cores = 8;
   /// Leader heartbeat period inside the coordinator group. Heartbeats
   /// double as lease renewals: follower acks refresh the leader's
   /// majority-contact lease that gates presumed-abort answers.

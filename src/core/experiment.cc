@@ -148,10 +148,8 @@ RunReport RunExperiment(const SystemConfig& config, SimDuration warmup,
   int vm_cores = per_plane_cores * static_cast<int>(arch.shard_count());
   if (arch.shard_count() > 1) {
     // One machine per coordinator member (G groups x R replicas).
-    int coord_cores = arch.config().coordinator_cores > 0
-                          ? arch.config().coordinator_cores
-                          : arch.config().verifier_cores;
-    vm_cores += coord_cores * static_cast<int>(arch.coord_topology().total());
+    vm_cores += arch.config().coordinator_cores *
+                static_cast<int>(arch.coord_topology().total());
   }
   vm_meter.ChargeVmTime(vm_cores, measure);
   report.vm_cents = vm_meter.vm_cents();
