@@ -1,7 +1,7 @@
 // Coordinator failover timeline (beyond the paper): goodput and p99
 // latency in 500 ms windows across an injected coordinator crash at
-// t=2s (recovery at t=4s), trusted singleton versus the replicated
-// coordinator group (DESIGN.md §10). The singleton stalls every
+// t=2s (recovery at t=4s), a group of one (R=1) versus a three-member
+// coordinator group (DESIGN.md §10). The group of one stalls every
 // cross-shard transaction for the full outage — held prepare locks
 // bleed into single-shard latency too — while the group's standby
 // takes over within the failover timeout and post-crash goodput stays
@@ -82,63 +82,63 @@ std::vector<TimelinePoint> RunTimeline(const core::SystemConfig& config,
 int main() {
   bench::Banner(
       "Coordinator failover timeline",
-      "what does a coordinator crash cost, singleton vs replicated?",
-      "beyond the paper: the trusted singleton is the last single point "
+      "what does a coordinator crash cost, R=1 vs replicated?",
+      "beyond the paper: a group of one is the last single point "
       "of failure in the sharded deployment; a 3-member CFT group over "
       "the decision log should make its crash a sub-second blip instead "
       "of a multi-second outage");
 
-  const char* kCrashSingleton =
+  const char* kCrashAlone =
       "at 2s crash coordinator\n"
       "at 4s recover coordinator\n";
   const char* kCrashLeader =
       "at 2s crash coordinator leader\n"
       "at 4s recover coordinator 0\n";
 
-  uint64_t singleton_total = 0;
+  uint64_t alone_total = 0;
   uint64_t group_total = 0;
   uint64_t nocrash_total = 0;
-  std::vector<TimelinePoint> singleton =
-      RunTimeline(FailoverConfig(1), kCrashSingleton, &singleton_total);
+  std::vector<TimelinePoint> alone =
+      RunTimeline(FailoverConfig(1), kCrashAlone, &alone_total);
   std::vector<TimelinePoint> group =
       RunTimeline(FailoverConfig(3), kCrashLeader, &group_total);
   std::vector<TimelinePoint> nocrash =
       RunTimeline(FailoverConfig(3), nullptr, &nocrash_total);
 
   std::printf("\ncrash at 2.0s, recovery at 4.0s; 500 ms windows\n");
-  std::printf("%-12s %14s %12s %14s %12s %14s %12s\n", "window",
-              "single(t/s)", "p99(ms)", "group(t/s)", "p99(ms)",
+  std::printf("%-12s %20s %12s %14s %12s %14s %12s\n", "window",
+              "R=1 (group of one)", "p99(ms)", "group(t/s)", "p99(ms)",
               "no-crash(t/s)", "p99(ms)");
   for (int w = 0; w < kWindows; ++w) {
     char label[32];
     std::snprintf(label, sizeof(label), "%.1f-%.1fs", w * kWindowS,
                   (w + 1) * kWindowS);
-    std::printf("%-12s %14.0f %12.1f %14.0f %12.1f %14.0f %12.1f\n", label,
-                singleton[w].goodput_tps, singleton[w].p99_ms,
+    std::printf("%-12s %20.0f %12.1f %14.0f %12.1f %14.0f %12.1f\n", label,
+                alone[w].goodput_tps, alone[w].p99_ms,
                 group[w].goodput_tps, group[w].p99_ms,
                 nocrash[w].goodput_tps, nocrash[w].p99_ms);
   }
 
   // Post-crash steady state: windows [2.5s, 4.0s) — after the failover
-  // timeout, before the singleton's recovery.
+  // timeout, before the group of one recovers.
   auto window_avg = [](const std::vector<TimelinePoint>& t, int lo, int hi) {
     double sum = 0;
     for (int w = lo; w < hi; ++w) sum += t[w].goodput_tps;
     return sum / (hi - lo);
   };
-  double single_post = window_avg(singleton, 5, 8);
+  double alone_post = window_avg(alone, 5, 8);
   double group_post = window_avg(group, 5, 8);
   double nocrash_post = window_avg(nocrash, 5, 8);
-  std::printf("\npost-crash goodput [2.5s, 4.0s): singleton=%.0f t/s, "
+  std::printf("\npost-crash goodput [2.5s, 4.0s): R=1=%.0f t/s, "
               "replicated=%.0f t/s, no-crash=%.0f t/s\n",
-              single_post, group_post, nocrash_post);
-  std::printf("replicated retains %.0f%% of no-crash goodput; singleton "
+              alone_post, group_post, nocrash_post);
+  std::printf("replicated retains %.0f%% of no-crash goodput; R=1 "
               "retains %.0f%%\n",
               nocrash_post > 0 ? 100.0 * group_post / nocrash_post : 0.0,
-              nocrash_post > 0 ? 100.0 * single_post / nocrash_post : 0.0);
-  std::printf("run totals over 6s: singleton=%llu, replicated=%llu, "
+              nocrash_post > 0 ? 100.0 * alone_post / nocrash_post : 0.0);
+  std::printf("run totals over 6s: R=1=%llu, replicated=%llu, "
               "no-crash=%llu completed\n",
-              static_cast<unsigned long long>(singleton_total),
+              static_cast<unsigned long long>(alone_total),
               static_cast<unsigned long long>(group_total),
               static_cast<unsigned long long>(nocrash_total));
   return 0;

@@ -3,9 +3,10 @@
 // volatile vote/ack state from retransmitted shard votes plus the
 // replicated decision log, and finish every decidable in-flight
 // transaction — atomically, with every prepare lock released, and
-// without inflating the abort rate beyond the crash window itself. The
-// singleton configuration, by contrast, must demonstrably stall until
-// its one coordinator returns.
+// without inflating the abort rate beyond the crash window itself. A
+// group of one, by contrast, must demonstrably stall until its one
+// member returns — and then serve again at once, without a group
+// message.
 
 #include <gtest/gtest.h>
 
@@ -187,9 +188,9 @@ TEST(CoordinatorFailoverTest, MidDecisionBroadcastCrashAndRejoin) {
   }
 }
 
-// The contrast the tentpole exists for: under the same crash the
-// singleton stalls every cross-shard transaction until recovery, while
-// the replicated group keeps deciding. Decision evidence, same seed.
+// The contrast replication exists for: under the same crash a group of
+// one stalls every cross-shard transaction until recovery, while the
+// three-member group keeps deciding. Decision evidence, same seed.
 TEST(CoordinatorFailoverTest, SingletonStallsWhereGroupFailsOver) {
   SystemConfig singleton_config = FailoverConfig(42, 1);
   Architecture singleton(singleton_config);
@@ -200,8 +201,8 @@ TEST(CoordinatorFailoverTest, SingletonStallsWhereGroupFailsOver) {
   ASSERT_TRUE(singleton_controller.Install(*singleton_schedule).ok());
   singleton.Start();
   singleton.simulator()->RunUntil(Seconds(4));
-  // The singleton's decision log froze at the crash: nothing decided in
-  // the last three simulated seconds.
+  // The group of one's decision log froze at the crash: nothing decided
+  // in the last three simulated seconds.
   uint64_t singleton_commits = singleton.coordinator()->commits_decided();
 
   SystemConfig group_config = FailoverConfig(42, 3);
@@ -217,6 +218,79 @@ TEST(CoordinatorFailoverTest, SingletonStallsWhereGroupFailsOver) {
   EXPECT_GT(GroupCommits(group), 2 * singleton_commits)
       << "replicated group did not outlive its leader";
   ExpectAtomicAcrossGroup(group);
+}
+
+// A group of one runs the group code with majority 1. Crashed and
+// recovered, its own log is the whole sync and its self-ack completes
+// every re-replication, so it serves again at the recovery instant
+// without sending a group message. Its takeover redirect re-solicits
+// the verifiers' standing votes at once: every prepare lock stranded by
+// the crash is released within 100 ms, instead of waiting for the next
+// vote retry, whose backoff doubles during the outage (the fragments
+// prepared just before the 1 s crash next retry at 2.75 s).
+TEST(CoordinatorFailoverTest, GroupOfOneRecoversWithoutGroupMessages) {
+  SystemConfig config = FailoverConfig(42, 1);
+  // Heavy cross-shard traffic strands many prepare locks at the crash.
+  config.workload.cross_shard_percentage = 50.0;
+  Architecture arch(config);
+  auto schedule = faults::FaultSchedule::Parse(
+      "at 1s crash coordinator\n"
+      "at 2500ms recover coordinator\n");
+  ASSERT_TRUE(schedule.ok());
+  faults::FaultController controller(&arch);
+  ASSERT_TRUE(controller.Install(*schedule).ok());
+
+  uint64_t group_msgs = 0;
+  std::set<TxnId> voted;
+  arch.network()->SetDeliveryObserver([&](const sim::Envelope& env) {
+    const auto* msg = static_cast<const shim::Message*>(env.message.get());
+    switch (msg->kind) {
+      case shim::MsgKind::kCoordAppend:
+      case shim::MsgKind::kCoordAck:
+      case shim::MsgKind::kCoordSyncRequest:
+      case shim::MsgKind::kCoordSyncReply:
+        ++group_msgs;
+        break;
+      case shim::MsgKind::kShardVoteCert:
+        for (const crypto::VoteShare& share :
+             static_cast<const shim::ShardVoteCertMsg*>(msg)->cert.shares) {
+          voted.insert(share.global_id);
+        }
+        break;
+      default:
+        break;
+    }
+  });
+  arch.Start();
+  arch.simulator()->RunUntil(Millis(2500));
+
+  TxnCoordinator* member = arch.coordinator();
+  EXPECT_FALSE(member->crashed());
+  EXPECT_TRUE(member->leader_synced());
+  EXPECT_EQ(group_msgs, 0u);
+  // The prepare locks the crash stranded: (shard, gid) pairs whose
+  // fragment voted and still waits for its decision.
+  std::vector<std::pair<uint32_t, TxnId>> stranded;
+  for (uint32_t s = 0; s < arch.shard_count(); ++s) {
+    const LockTable* locks = arch.plane(s)->verifier()->prepare_lock_table();
+    for (TxnId gid : voted) {
+      if (locks->KeysOf(gid) != nullptr) stranded.emplace_back(s, gid);
+    }
+  }
+  EXPECT_FALSE(stranded.empty()) << "the crash stranded no prepare lock";
+
+  arch.simulator()->RunUntil(Millis(2600));
+  for (const auto& [s, gid] : stranded) {
+    EXPECT_EQ(arch.plane(s)->verifier()->prepare_lock_table()->KeysOf(gid),
+              nullptr)
+        << "shard " << s << " still holds gtxn " << gid
+        << " 100 ms after recovery";
+  }
+
+  arch.simulator()->RunUntil(Seconds(4));
+  EXPECT_EQ(group_msgs, 0u);
+  EXPECT_EQ(member->view(), 0u);
+  ExpectAtomicAcrossGroup(arch);
 }
 
 // Satellite: the watermark/cseq bookkeeping is re-derivable. The

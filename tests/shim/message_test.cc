@@ -197,5 +197,46 @@ TEST(MessageTest, AllKindsEncodeNonEmpty) {
   (void)d;
 }
 
+// The two 2PC messages end in a view stamp in every configuration — a
+// group of one stamps view 0 and its own id — so their sizes are pinned
+// byte for byte. One share with a 64-byte signature is 90 bytes and its
+// certificate 91 (varint count first).
+TEST(MessageTest, TwoPcMessageSizesIncludeTheViewStamp) {
+  crypto::VoteShare share;
+  share.global_id = 7;
+  share.shard = 1;
+  share.seq = 3;
+  share.commit = true;
+  share.signer = 2;
+  share.sig = Bytes(64, 0x5a);
+
+  // 5 header + 91 certificate + 1 ack marker + 17 acks (varint 2, two
+  // cseqs) + 8 view = 122.
+  ShardVoteCertMsg vote(2);
+  vote.cert.shares.push_back(share);
+  vote.acked_cseqs = {3, 4};
+  vote.coord_view = 9;
+  EXPECT_EQ(vote.WireSize(), 122u);
+  // Without shares or acks only the stamp's 8 bytes remain beyond the
+  // header, the two empty counts and the marker.
+  ShardVoteCertMsg empty_vote(2);
+  EXPECT_EQ(empty_vote.WireSize(), 16u);
+
+  // 14 header + 91 proof + 16 (cseq, watermark) + 12 view stamp = 133.
+  ShardCommitDecisionMsg commit(890000);
+  commit.global_id = 7;
+  commit.commit = true;
+  commit.proof.shares.push_back(share);
+  commit.cseq = 5;
+  commit.watermark = 4;
+  commit.coord_view = 9;
+  commit.coord_leader = 890000;
+  EXPECT_EQ(commit.WireSize(), 133u);
+  // An abort has no proof: 14 + 16 + 12 = 42.
+  ShardCommitDecisionMsg abort(890000);
+  abort.global_id = 7;
+  EXPECT_EQ(abort.WireSize(), 42u);
+}
+
 }  // namespace
 }  // namespace sbft::shim
