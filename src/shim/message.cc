@@ -618,16 +618,13 @@ void LinearCertMsg::BuildWire(Encoder* enc) const {
 }
 
 size_t ShardVoteCertMsg::PayloadWireBytes() const {
-  return cert.WireSize() + 1 + VarintLen(acked_cseqs.size()) +
+  return cert.WireSize() + VarintLen(acked_cseqs.size()) +
          8 * acked_cseqs.size() + 8;
 }
 
 void ShardVoteCertMsg::BuildWire(Encoder* enc) const {
   PutPacked(enc, PackedFor<wire::ShardVoteCertHeader>(*this));
   cert.EncodeTo(enc);
-  // Ack-section marker, always 1: kept so the wire layout (and every
-  // size-dependent delivery time) is unchanged.
-  enc->PutBool(true);
   enc->PutVarint(acked_cseqs.size());
   for (uint64_t cseq : acked_cseqs) {
     enc->PutU64(cseq);

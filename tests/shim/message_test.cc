@@ -210,17 +210,17 @@ TEST(MessageTest, TwoPcMessageSizesIncludeTheViewStamp) {
   share.signer = 2;
   share.sig = Bytes(64, 0x5a);
 
-  // 5 header + 91 certificate + 1 ack marker + 17 acks (varint 2, two
-  // cseqs) + 8 view = 122.
+  // 5 header + 91 certificate + 17 acks (varint 2, two cseqs) + 8 view
+  // = 121.
   ShardVoteCertMsg vote(2);
   vote.cert.shares.push_back(share);
   vote.acked_cseqs = {3, 4};
   vote.coord_view = 9;
-  EXPECT_EQ(vote.WireSize(), 122u);
+  EXPECT_EQ(vote.WireSize(), 121u);
   // Without shares or acks only the stamp's 8 bytes remain beyond the
-  // header, the two empty counts and the marker.
+  // header and the two empty counts.
   ShardVoteCertMsg empty_vote(2);
-  EXPECT_EQ(empty_vote.WireSize(), 16u);
+  EXPECT_EQ(empty_vote.WireSize(), 15u);
 
   // 14 header + 91 proof + 16 (cseq, watermark) + 12 view stamp = 133.
   ShardCommitDecisionMsg commit(890000);

@@ -386,16 +386,14 @@ TEST(WireFormatTest, LinearMessagesMatchLegacyBytes) {
 }
 
 TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
-  // The vote certificate's ack section (with its marker byte, always 1),
-  // the decision's (cseq, watermark) section and both view stamps are
-  // unconditional.
+  // The vote certificate's ack section, the decision's (cseq, watermark)
+  // section and both view stamps are unconditional.
   ShardVoteCertMsg vc(9);
   vc.cert = MakeVoteCert();
   vc.acked_cseqs = {3, 4};
   vc.coord_view = 5;
   ExpectLegacyBytes(vc, [&](Encoder* e) {
     vc.cert.EncodeTo(e);
-    e->PutBool(true);
     e->PutVarint(vc.acked_cseqs.size());
     for (uint64_t c : vc.acked_cseqs) e->PutU64(c);
     e->PutU64(vc.coord_view);
@@ -405,7 +403,6 @@ TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
   no_acks.cert = MakeVoteCert();
   ExpectLegacyBytes(no_acks, [&](Encoder* e) {
     no_acks.cert.EncodeTo(e);
-    e->PutBool(true);
     e->PutVarint(0);
     e->PutU64(0);
   });
