@@ -258,8 +258,7 @@ TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
   EXPECT_GT(verifier.prepare_locks_held(), 0u);
   EXPECT_GE(coordinator.CountKind(shim::MsgKind::kShardVoteCert), 1u);
 
-  auto decide = [&](const crypto::VoteCertificate* proof,
-                    ActorId from) {
+  auto decide = [&](const crypto::VoteCertificate* proof, ActorId from) {
     auto decision = std::make_shared<shim::ShardCommitDecisionMsg>(from);
     decision->global_id = kGid;
     decision->commit = true;
